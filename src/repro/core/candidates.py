@@ -115,25 +115,25 @@ def extend_by_one(
     check_fd_attributes(relation, fd)
     y = list(fd.consequent)
     distinct_y = relation.count_distinct(y)
-    # Prime the partition cache with π_X: every |π_XA| and |π_XAY| below
-    # then resolves as an O(covered) refinement of a cached partition
-    # instead of a fresh scan (the XA-from-X derivation of Section 4.4).
+    stats = relation.stats
+    exclude = set(fd.attributes)
+    names: list[str] = []
+    for attr in relation.attribute_names:
+        if attr in exclude or relation.column(attr).has_nulls:
+            continue
+        if config.exclude_unique and stats.is_unique(attr):
+            continue
+        names.append(attr)
+    # Prime π_X: every |π_XA| and |π_XAY| below comes off it in one
+    # batched count (the XA-from-X derivation of Section 4.4), and when
+    # the search expands XA, π_XA is one refinement of it.  No π_XA is
+    # built here.
     if fd.antecedent:
         relation.stripped_partition(list(fd.antecedent))
+    counts = stats.extension_counts(list(fd.antecedent), names, y)
     candidates: list[Candidate] = []
-    exclude = set(fd.attributes)
-    for attr in relation.attribute_names:
-        if attr in exclude:
-            continue
-        column = relation.column(attr)
-        if column.has_nulls:
-            continue
-        if config.exclude_unique and relation.stats.is_unique(attr):
-            continue
+    for attr, (distinct_xa, distinct_xay) in zip(names, counts):
         extended = fd.extended(attr)
-        xa = list(extended.antecedent)
-        distinct_xa = relation.count_distinct(xa)
-        distinct_xay = relation.count_distinct(xa + y)
         confidence = distinct_xa / distinct_xay if distinct_xay else 1.0
         goodness = distinct_xa - distinct_y
         if only_exact and confidence < 1.0:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -499,11 +500,7 @@ def stripped_from_classes(
     if not classes:
         return _empty(num_rows)
     sizes = np.fromiter(map(len, classes), dtype=_INT, count=len(classes))
-    rows = np.fromiter(
-        (row for cls_rows in classes for row in cls_rows),
-        dtype=_INT,
-        count=int(sizes.sum()),
-    )
+    rows = np.fromiter(chain.from_iterable(classes), dtype=_INT, count=int(sizes.sum()))
     ids = np.repeat(np.arange(len(classes), dtype=_INT), sizes)
     offsets = np.empty(sizes.shape[0] + 1, dtype=_INT)
     offsets[0] = 0
@@ -969,6 +966,70 @@ def count_distinct(code_columns: Sequence[Sequence[int]]) -> int:
     if not code_columns:
         return 0
     return _distinct([_as_array(codes) for codes in code_columns])
+
+
+#: Matrix elements per block of :func:`extension_errors` (int64, so
+#: ~8 MB per gathered or packed block).
+_EXTENSION_BLOCK = 1 << 20
+
+
+def _row_distinct(matrix: np.ndarray) -> np.ndarray:
+    """Distinct values per row of a 2-D key matrix (one row-wise sort)."""
+    if matrix.shape[1] == 0:
+        return np.zeros(matrix.shape[0], dtype=_INT)
+    ordered = np.sort(matrix, axis=1)
+    return 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
+
+
+def extension_errors(
+    partition,
+    candidate_columns: Sequence[Sequence[int]],
+    y_columns: Sequence[Sequence[int]],
+) -> list[tuple[int, int]]:
+    """``(e(X·A), e(X·A·Y))`` for each candidate column ``A`` over π_X.
+
+    The candidate columns are gathered at π_X's covered rows into one
+    matrix per block of candidates; each row is packed with the class
+    id (for X·A) or with the id of the row's (X, Y) group (for X·A·Y)
+    and counted by a single row-wise sort.  Rows alone in their (X, Y)
+    group stay singletons under any A, so only the rest are sorted.
+    When a block's packed range could overflow int64 the block falls
+    back to per-candidate :func:`_distinct` (lexsort when needed).
+    """
+    k = len(candidate_columns)
+    rows, ids = _flat_arrays(partition)
+    covered = int(rows.shape[0])
+    if covered == 0:
+        return [(0, 0)] * k
+    # Group the covered rows by (X class, Y); keep the size-≥ 2 groups.
+    perm, change = _sorted_key_change(
+        [ids] + [_as_array(codes)[rows] for codes in y_columns]
+    )
+    group = np.empty(covered, dtype=_INT)
+    group[perm] = np.cumsum(change) - 1
+    sizes = np.bincount(group)
+    xy_pos = np.flatnonzero(sizes[group] >= 2)
+    xy_ids = group[xy_pos]
+    xy_span = int(sizes.shape[0])
+    xy_covered = int(xy_pos.shape[0])
+    x_span = int(ids.max()) + 1
+    errors: list[tuple[int, int]] = []
+    step = max(1, _EXTENSION_BLOCK // covered)
+    for lo in range(0, k, step):
+        block = np.stack(
+            [_as_array(codes)[rows] for codes in candidate_columns[lo : lo + step]]
+        )
+        low = int(block.min())
+        span = int(block.max()) - low + 1
+        if max(x_span, xy_span) * span <= _PACK_LIMIT:
+            block -= low
+            xa = _row_distinct(ids * span + block)
+            xay = _row_distinct(xy_ids * span + block[:, xy_pos])
+        else:
+            xa = [_distinct([ids, codes]) for codes in block]
+            xay = [_distinct([xy_ids, codes[xy_pos]]) for codes in block]
+        errors.extend((covered - int(a), xy_covered - int(b)) for a, b in zip(xa, xay))
+    return errors
 
 
 # ----------------------------------------------------------------------

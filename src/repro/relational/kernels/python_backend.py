@@ -16,6 +16,8 @@ Canonical backend surface (mirrored by ``numpy_backend``):
   construction (``refine``/``refined_error``/``product`` then live on
   the returned object);
 * ``count_distinct(code_columns)`` — multi-column distinct counting;
+* ``extension_errors(partition, candidates, y)`` — the repair search's
+  batched ``e(X·A)`` / ``e(X·A·Y)`` counts off π_X;
 * ``entropy_from_partition`` / ``joint_class_counts`` /
   ``conditional_entropy`` / ``conditional_entropy_pair`` — the EB
   entropy sums;
@@ -169,6 +171,22 @@ def count_distinct(code_columns: Sequence[Sequence[int]]) -> int:
     if len(code_columns) == 1:
         return len(set(code_columns[0]))
     return len(set(zip(*code_columns)))
+
+
+def extension_errors(
+    partition,
+    candidate_columns: Sequence[Sequence[int]],
+    y_columns: Sequence[Sequence[int]],
+) -> list[tuple[int, int]]:
+    """``(e(X·A), e(X·A·Y))`` for each candidate column ``A`` over π_X.
+
+    The repair search's per-candidate counts (``|π_XA| = n − e(X·A)``)
+    straight off the partition of ``X``: nothing is materialized.
+    """
+    return [
+        (partition.refined_error(codes), partition.refined_error(codes, *y_columns))
+        for codes in candidate_columns
+    ]
 
 
 # ----------------------------------------------------------------------

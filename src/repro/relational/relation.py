@@ -61,7 +61,7 @@ class Relation:
         self._schema = schema
         self._columns = dict(columns)
         self._num_rows = num_rows
-        self._stats = RelationStatistics(self)
+        self._stats = RelationStatistics(schema, self._columns, num_rows)
 
     # ------------------------------------------------------------------
     # Construction
@@ -254,14 +254,7 @@ class Relation:
         (:mod:`repro.relational.kernels`): one set pass on the python
         backend, a pack-and-sort reduction on numpy.
         """
-        names = self._schema.validate_names(attrs)
-        if not names:
-            return 1 if self._num_rows else 0
-        if len(names) == 1:
-            column = self._columns[names[0]]
-            return column.cardinality + (1 if column.has_nulls else 0)
-        code_columns = [self._columns[name].kernel_codes() for name in names]
-        return kernels.get_backend().count_distinct(code_columns)
+        return self._stats.count_distinct_raw(attrs)
 
     def partition(self, attrs: Sequence[str]) -> Partition:
         """The X-clustering over ``attrs`` (paper Definition 5)."""

@@ -12,11 +12,15 @@ On top of the count memo sits the **attribute-set partition cache**: a
 ``frozenset → StrippedPartition`` map over the lattice of attribute
 sets.  When ``|π_XA|`` is requested and π_X is cached, the answer is
 one O(covered) refinement instead of a fresh scan — and covered rows
-shrink rapidly as X approaches a key.  Because relations are immutable
-(every derivation builds a new :class:`Relation`, and therefore a new
-statistics object), neither cache can ever go stale; the only
-invalidation rule is :meth:`clear`, which callers use to reset cost
-accounting between benchmark phases.  The partition cache is an LRU
+shrink rapidly as X approaches a key.  The repair search goes one step
+further: :meth:`RelationStatistics.extension_counts` scores every
+candidate ``A`` of a node off π_X in one batched kernel call, counting
+``|π_XA|`` and ``|π_XAY|`` without materializing either partition; only
+nodes the search actually expands get a cached π.  Because relations
+are immutable (every derivation builds a new :class:`Relation`, and
+therefore a new statistics object), neither cache can ever go stale;
+the only invalidation rule is :meth:`clear`, which callers use to reset
+cost accounting between benchmark phases.  The partition cache is an LRU
 bounded by :func:`configure_caches` (installed by
 ``EngineConfig.activate``) so long monitoring runs cannot grow memory
 without bound; hit/miss/eviction counters sit next to
@@ -35,7 +39,7 @@ without any per-window recomputation.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING
 
 from . import kernels, parallel
@@ -43,7 +47,8 @@ from .delta import GroupTracker
 from .partition import StrippedPartition
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .relation import Relation
+    from .encoding import EncodedColumn
+    from .schema import RelationSchema
 
 __all__ = [
     "RelationStatistics",
@@ -123,10 +128,19 @@ def _prime_chain_shm(arrays, payload, slots):
 
 
 class RelationStatistics:
-    """Memoizing facade over one relation's counting primitives."""
+    """Memoizing facade over one relation's counting primitives.
+
+    The statistics hold the relation's schema, column map and row count
+    — never the :class:`~repro.relational.relation.Relation` itself — so
+    the pair forms no reference cycle: a superseded ``extend`` snapshot
+    and its whole partition cache are freed by reference counting as
+    soon as the last reference to the relation goes.
+    """
 
     __slots__ = (
-        "_relation",
+        "_schema",
+        "_columns",
+        "_num_rows",
         "_distinct_cache",
         "_raw_count",
         "_partition_cache",
@@ -137,8 +151,15 @@ class RelationStatistics:
         "_delta_hits",
     )
 
-    def __init__(self, relation: "Relation") -> None:
-        self._relation = relation
+    def __init__(
+        self,
+        schema: "RelationSchema",
+        columns: Mapping[str, "EncodedColumn"],
+        num_rows: int,
+    ) -> None:
+        self._schema = schema
+        self._columns = columns
+        self._num_rows = num_rows
         self._distinct_cache: dict[frozenset[str], int] = {}
         self._raw_count = 0
         self._partition_cache: OrderedDict[frozenset[str], StrippedPartition] = (
@@ -159,11 +180,25 @@ class RelationStatistics:
         Resolution order: the count memo, then the partition cache
         (``|π_X| = n − e(X)``, free), then a delta tracker (maintained
         group map, free), then a one-step refinement when a partition
-        of any ``attrs ∖ {A}`` is cached (this is how the repair search
-        derives every |π_XA| from the cached π_X), and only then a raw
-        scan.
+        of any ``attrs ∖ {A}`` is cached, and only then a raw scan.
+        The repair search's batched ``|π_XA|``/``|π_XAY|`` counts go
+        through :meth:`extension_counts` instead, which never
+        materializes the refined partition.
         """
         key = frozenset(attrs)
+        value = self._resolved(key)
+        if value is None:
+            if len(key) > 1 and self._refinable_from(key) is not None:
+                value = self.stripped_partition(list(key)).num_distinct
+            else:
+                value = self.count_distinct_raw(list(key))
+            self._raw_count += 1
+            self._distinct_cache[key] = value
+        return value
+
+    def _resolved(self, key: frozenset[str]) -> int | None:
+        """``|π_key|`` if it is free — memo, partition cache or delta
+        tracker, memoized on the way — else ``None`` (a count query)."""
         cached = self._distinct_cache.get(key)
         if cached is not None:
             return cached
@@ -174,18 +209,88 @@ class RelationStatistics:
             value = partition.num_distinct
         else:
             tracker = self._trackers.get(key)
-            if tracker is not None:
-                self._delta_hits += 1
-                self._trackers.move_to_end(key)
-                value = tracker.num_distinct
-            elif len(key) > 1 and self._refinable_from(key) is not None:
-                value = self.stripped_partition(list(key)).num_distinct
-                self._raw_count += 1
-            else:
-                value = self._relation.count_distinct_raw(list(key))
-                self._raw_count += 1
+            if tracker is None:
+                return None
+            self._delta_hits += 1
+            self._trackers.move_to_end(key)
+            value = tracker.num_distinct
         self._distinct_cache[key] = value
         return value
+
+    def count_distinct_raw(self, attrs: Sequence[str]) -> int:
+        """Uncached ``|π_attrs(r)|`` through the active kernel backend.
+
+        NULL counts as one value (GROUP BY semantics).  Touches neither
+        the caches nor the counters.
+        """
+        names = self._schema.validate_names(attrs)
+        if not names:
+            return 1 if self._num_rows else 0
+        if len(names) == 1:
+            column = self._columns[names[0]]
+            return column.cardinality + (1 if column.has_nulls else 0)
+        return kernels.get_backend().count_distinct(
+            [self._codes(name) for name in names]
+        )
+
+    def extension_counts(
+        self,
+        x: Sequence[str],
+        candidates: Sequence[str],
+        y: Sequence[str],
+    ) -> list[tuple[int, int]]:
+        """``(|π_XA|, |π_XAY|)`` for every ``A`` in ``candidates``.
+
+        These are the two counts the CB measures need per one-attribute
+        extension (paper Algorithm 2).  Each set resolves like
+        :meth:`count_distinct` — memo, partition cache, delta tracker —
+        and each set still missing is one count query, so
+        :attr:`executed_count_queries` grows exactly as one
+        ``count_distinct`` call per set would make it.  The missing
+        counts are answered together by the backend's
+        ``extension_errors`` kernel off π_X: no π_XA or π_XAY is
+        materialized or cached.  The search builds π_XA only when it
+        expands XA.
+        """
+        x_key = frozenset(x)
+        y_key = frozenset(y)
+        pairs = [(x_key | {name}, x_key | y_key | {name}) for name in candidates]
+        values: dict[frozenset[str], int] = {}
+        missing: set[frozenset[str]] = set()
+        for pair in pairs:
+            for key in pair:
+                if key in values or key in missing:
+                    continue
+                value = self._resolved(key)
+                if value is None:
+                    missing.add(key)
+                    self._raw_count += 1
+                else:
+                    values[key] = value
+        if missing:
+            needed = [
+                (name, pair)
+                for name, pair in zip(candidates, pairs)
+                if not missing.isdisjoint(pair)
+            ]
+            errors = kernels.get_backend().extension_errors(
+                self.stripped_partition(sorted(x_key)),
+                [self._codes(name) for name, _ in needed],
+                [self._codes(name) for name in sorted(y_key - x_key)],
+            )
+            for (_, pair), pair_errors in zip(needed, errors):
+                for key, error in zip(pair, pair_errors):
+                    if key not in values:
+                        values[key] = self._distinct_cache[key] = self._num_rows - error
+        return [(values[xa], values[xay]) for xa, xay in pairs]
+
+    def _column(self, name: str) -> "EncodedColumn":
+        self._schema.position(name)  # raise UnknownAttributeError if absent
+        return self._columns[name]
+
+    def _codes(self, name: str) -> Sequence[int]:
+        """One column's codes in the active backend's representation."""
+        return self._column(name).kernel_codes()
 
     def _refinable_from(self, key: frozenset[str]) -> frozenset[str] | None:
         """A cached ``key ∖ {A}`` subset to refine from, if any.
@@ -206,11 +311,14 @@ class RelationStatistics:
     def stripped_partition(self, attrs: Sequence[str]) -> StrippedPartition:
         """The cached stripped partition π_attrs, building it if needed.
 
-        Construction order: a delta tracker materializes its group map
-        directly (O(covered), no scan); otherwise the lattice is
-        reused — a cached partition of any ``attrs ∖ {A}`` is refined
-        by A's column in O(covered), else the sorted prefix chain is
-        built (and cached) from the single-attribute partitions up.
+        Construction order: a cached partition of any ``attrs ∖ {A}``
+        is refined by A's column in O(covered); otherwise a delta
+        tracker materializes its group map (no scan); otherwise the
+        sorted prefix chain is built (and cached) from the single-
+        attribute partitions up.  A single attribute always comes from
+        its tracker when it has one (refining π_∅ would group the whole
+        column anyway); a multi-attribute set refines first, so its
+        partition does not depend on whether the set is tracked.
         """
         key = frozenset(attrs)
         partition = self._partition_cache.get(key)
@@ -219,7 +327,7 @@ class RelationStatistics:
             self._partition_cache.move_to_end(key)
             return partition
         tracker = self._trackers.get(key)
-        if tracker is not None:
+        if tracker is not None and (len(key) == 1 or self._refinable_from(key) is None):
             self._delta_hits += 1
             self._trackers.move_to_end(key)
             partition = tracker.stripped_partition()
@@ -244,22 +352,19 @@ class RelationStatistics:
         (list-based or array-backed); the two interoperate, so entries
         built under different backends still refine each other.
         """
-        relation = self._relation
         backend = kernels.get_backend()
         if not key:
-            return backend.stripped_single_class(relation.num_rows)
+            return backend.stripped_single_class(self._num_rows)
         if len(key) == 1:
             (name,) = key
-            return backend.stripped_from_codes(relation.column(name).kernel_codes())
+            return backend.stripped_from_codes(self._codes(name))
         subset = self._refinable_from(key)
         if subset is not None:
             (added,) = key - subset
-            return self._partition_cache[subset].refine(
-                relation.column(added).kernel_codes()
-            )
+            return self._partition_cache[subset].refine(self._codes(added))
         names = sorted(key)
         prefix = self.stripped_partition(names[:-1])
-        return prefix.refine(relation.column(names[-1]).kernel_codes())
+        return prefix.refine(self._codes(names[-1]))
 
     def cached_partition(self, attrs: Sequence[str]) -> StrippedPartition | None:
         """The cached partition for ``attrs``, or ``None`` (never builds)."""
@@ -288,7 +393,6 @@ class RelationStatistics:
             jobs.append(tuple(sorted(key)))
         if not jobs:
             return 0
-        relation = self._relation
         kind = parallel.pool_kind()
         if kind == "process":
             arrays: list = []
@@ -297,7 +401,7 @@ class RelationStatistics:
                 for name in names:
                     if name not in slots:
                         slots[name] = len(arrays)
-                        arrays.append(relation.column(name).kernel_codes())
+                        arrays.append(self._codes(name))
             chains = parallel.morsel_map(
                 _prime_chain_shm,
                 [tuple(slots[name] for name in names) for names in jobs],
@@ -305,10 +409,7 @@ class RelationStatistics:
                 payload=kernels.active_backend_name(),
             )
         else:
-            columns = [
-                [relation.column(name).kernel_codes() for name in names]
-                for names in jobs
-            ]
+            columns = [[self._codes(name) for name in names] for names in jobs]
             chains = parallel.morsel_map(_prime_chain_local, columns)
         built = 0
         for names, chain in zip(jobs, chains):
@@ -331,18 +432,15 @@ class RelationStatistics:
         entropies, agreeing-pair sums, and stripped partitions for this
         set without recomputation.
         """
-        names = self._relation.schema.validate_names(attrs)
+        names = self._schema.validate_names(attrs)
         if not names:
             raise ValueError("cannot track the empty attribute set")
         key = frozenset(names)
         tracker = self._trackers.get(key)
         if tracker is None:
-            relation = self._relation
             ordered = sorted(key)
             tracker = GroupTracker.build(
-                ordered,
-                [relation.column(name).kernel_codes() for name in ordered],
-                relation.num_rows,
+                ordered, [self._codes(name) for name in ordered], self._num_rows
             )
             self._store_tracker(key, tracker)
         else:
@@ -385,8 +483,7 @@ class RelationStatistics:
         pre-filled, so the child answers the monitoring path's queries
         without touching the old rows at all.
         """
-        child = self._relation
-        start = parent._relation.num_rows
+        start = parent._num_rows
         keys: list[frozenset[str]] = list(parent._trackers)
         seen = set(keys)
         limit = _tracker_limit
@@ -400,9 +497,9 @@ class RelationStatistics:
         for key in keys:
             tracker = parent._trackers.pop(key, None)
             ordered = sorted(key)
-            code_columns = [child.column(name).kernel_codes() for name in ordered]
+            code_columns = [self._codes(name) for name in ordered]
             if tracker is None:
-                tracker = GroupTracker.build(ordered, code_columns, child.num_rows)
+                tracker = GroupTracker.build(ordered, code_columns, self._num_rows)
             else:
                 tracker.extend(code_columns, start)
             self._store_tracker(key, tracker)
@@ -413,11 +510,11 @@ class RelationStatistics:
     # ------------------------------------------------------------------
     def null_count(self, attr: str) -> int:
         """Number of NULLs in one attribute."""
-        return self._relation.column(attr).null_count
+        return self._column(attr).null_count
 
     def cardinality(self, attr: str) -> int:
         """Distinct non-NULL values of one attribute."""
-        return self._relation.column(attr).cardinality
+        return self._column(attr).cardinality
 
     def is_unique(self, attr: str) -> bool:
         """Whether ``attr`` alone is a key of the instance (UNIQUE).
@@ -426,7 +523,7 @@ class RelationStatistics:
         FD but makes the rest of the antecedent useless (Section 3), so
         the goodness ranking penalizes them.
         """
-        return self.count_distinct([attr]) == self._relation.num_rows
+        return self.count_distinct([attr]) == self._num_rows
 
     # ------------------------------------------------------------------
     # Cache introspection

@@ -222,6 +222,68 @@ class TestAdoptDelta:
         assert child.stats.delta_hits >= 1
         assert child.stats.tracked_sets == 1
 
+    def test_multi_attribute_key_refines_cached_subset(self, backend):
+        relation = Relation.from_columns(
+            "t",
+            {"A": [1, 1, 2, 2, 1, 3, 3], "B": [0, 0, 1, 1, 1, 0, 0]},
+        )
+        relation.stats.track(["A", "B"])
+        child = relation.extend([(1, 0), (2, 1), (3, 1)])
+        stats = child.stats
+        expected = canonical(stats.tracked(["A", "B"]).stripped_partition())
+        stats.stripped_partition(["A"])
+        hits = stats.delta_hits
+        partition = stats.stripped_partition(["A", "B"])
+        assert stats.delta_hits == hits  # refined from π_A, not the tracker
+        assert canonical(partition) == expected
+
+    def test_multi_attribute_key_without_cached_subset_uses_tracker(self, backend):
+        relation = Relation.from_columns("t", {"A": [1, 1, 2], "B": [0, 0, 1]})
+        relation.stats.track(["A", "B"])
+        child = relation.extend([(2, 1)])
+        partition = child.stats.stripped_partition(["A", "B"])
+        assert child.stats.delta_hits == 1
+        assert canonical(partition) == {frozenset({0, 1}), frozenset({2, 3})}
+
+    def test_single_attribute_key_still_uses_tracker(self, backend):
+        relation = Relation.from_columns("t", {"A": [1, 1, 2]})
+        relation.stats.track(["A"])
+        child = relation.extend([(2,)])
+        child.stats.stripped_partition([])  # π_∅ refines to π_A, yet...
+        child.stats.stripped_partition(["A"])
+        assert child.stats.delta_hits == 1  # ...the tracker serves it
+
+    def test_superseded_snapshot_freed_without_collector(self, backend):
+        """Statistics hold no back-pointer to their relation, so a
+        parent snapshot and its partition cache die by reference
+        counting alone — no cycle waits for a full collection."""
+        import gc
+
+        from repro.relational.statistics import RelationStatistics
+
+        def live(kind):
+            return sum(isinstance(obj, kind) for obj in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            relation = Relation.from_columns(
+                "t", {"A": [1, 1, 2, 2], "B": [0, 1, 0, 1], "C": [5, 5, 6, 6]}
+            )
+            kind = type(relation.stripped_partition(["A", "B"]))
+            relation.stats.extension_counts(["A"], ["C"], ["B"])
+            child = relation.extend([(1, 0, 5)])
+            child.stripped_partition(["A", "B"])
+            before = (live(Relation), live(RelationStatistics), live(kind))
+            del relation
+            after = (live(Relation), live(RelationStatistics), live(kind))
+        finally:
+            gc.enable()
+        assert after[0] == before[0] - 1
+        assert after[1] == before[1] - 1
+        assert after[2] < before[2]
+        assert child.count_distinct(["A", "B"]) == 4
+
 
 class TestCacheBounds:
     def test_partition_cache_lru_evicts(self):
