@@ -31,6 +31,15 @@ is extended, its trackers move to the child (the parent keeps the
 scalar results already copied into its memo caches) and are folded
 forward in place.  Materialized partitions always copy the group lists,
 so earlier snapshots' cached partitions never observe later folds.
+The columns follow the same rule: the snapshots of one chain share an
+append-only column log (codes, dictionary, reverse map), each seeing
+only its own prefix of rows and dictionary entries.  Only the head —
+the snapshot whose prefix is the whole log — appends in place;
+extending any other snapshot copies its rows into a private log first
+(see :meth:`~repro.relational.encoding.EncodedColumn.extended`).
+Sets the parent only counted are promoted to counts-only trackers
+(group sizes, no row lists); partitioned and ``track()``ed sets keep
+their rows (see ``RelationStatistics.adopt_delta``).
 
 Equivalence contract (property-tested in
 ``tests/relational/test_delta.py``, same discipline as
@@ -52,6 +61,20 @@ from typing import Any
 from . import kernels
 
 __all__ = ["GroupTracker", "DeltaStream"]
+
+
+class _SizeMap(dict):
+    """The ``key → size`` map of a counts-only tracker over several columns.
+
+    The garbage collector untracks a plain dict whose keys are all
+    int tuples at every full collection; the next insert of a fresh
+    tuple key tracks it again in the youngest generation, so young
+    collections walk all of its entries after each full one.  A dict
+    subclass is never untracked: it ages into the oldest generation
+    once and stays there.
+    """
+
+    __slots__ = ()
 
 
 class GroupTracker:
@@ -116,6 +139,8 @@ class GroupTracker:
                 code_columns, keep_rows
             )
             tracker._init_scalars()
+        if not keep_rows and len(code_columns) > 1:
+            tracker.groups = _SizeMap(tracker.groups)
         return tracker
 
     def _init_scalars(self) -> None:

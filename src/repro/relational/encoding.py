@@ -17,10 +17,16 @@ homogeneous columns vectorized and caches the codes as an ``int64``
 array (:meth:`EncodedColumn.kernel_codes`), which is the representation
 every array kernel downstream consumes.  ``codes`` stays a plain
 ``list[int]`` either way — the public contract is unchanged.
+
+Columns grown by :meth:`EncodedColumn.extended` (``Relation.extend``)
+share one append-only log per extension chain instead of copying the
+column per snapshot; each snapshot sees its own prefix of it, so it
+stays immutable while the chain head grows in O(Δ).
 """
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable, Sequence
 from typing import Any
 
@@ -158,50 +164,14 @@ class EncodedColumn:
 
         The parent's first-seen code assignment is a prefix of the
         extension's, so the result is byte-identical to cold-encoding
-        the concatenated value list (on either kernel backend) while
-        costing one dictionary probe per new value plus an O(n) memcpy
-        of the code vector.  The parent is untouched (its dictionary
-        and reverse map are copied), which keeps extension chains
-        immutable snapshot by snapshot.
+        the concatenated value list (on either kernel backend).  The
+        first extension of a plain column copies its codes, dictionary
+        and reverse map once, O(n), into an append-only log that every
+        later snapshot of the chain shares (:class:`_ColumnLog`); from
+        then on extending the chain head costs one dictionary probe per
+        new value.  This column is untouched.
         """
-        values = list(values)
-        codes = list(self.codes)
-        dictionary = list(self.dictionary)
-        if self._value_to_code is not None:
-            value_to_code = dict(self._value_to_code)
-        else:
-            value_to_code = {v: code for code, v in enumerate(dictionary)}
-        new_codes: list[int] = []
-        new_nulls = 0
-        for value in values:
-            if value is None:
-                new_codes.append(NULL_CODE)
-                new_nulls += 1
-                continue
-            code = value_to_code.get(value)
-            if code is None:
-                code = len(dictionary)
-                value_to_code[value] = code
-                dictionary.append(value)
-            new_codes.append(code)
-        codes.extend(new_codes)
-        column = EncodedColumn(codes, dictionary)
-        column._value_to_code = value_to_code
-        column._null_count = self.null_count + new_nulls
-        if self._codes_array is not None:
-            # The parent holds a numpy code array: extend it by one
-            # concatenation instead of re-deriving it from the list.
-            import numpy as np  # local: only reachable with numpy present
-
-            array = np.concatenate(
-                [
-                    self._codes_array,
-                    np.asarray(new_codes, dtype=self._codes_array.dtype),
-                ]
-            )
-            array.flags.writeable = False
-            column._codes_array = array
-        return column
+        return _ColumnLog.seeded(self).append(values, self.null_count)
 
     def slice_reencoded(self, start: int, end: int) -> "EncodedColumn":
         """Rows ``[start, end)`` as a compactly re-encoded column.
@@ -264,6 +234,180 @@ class EncodedColumn:
             self._value_to_code[value] = code
             self.dictionary.append(value)
         self.codes.append(code)
+
+
+#: Minimum code capacity of a fresh numpy-backed :class:`_ColumnLog`.
+_MIN_LOG_CAPACITY = 64
+
+#: Serializes the head check and the in-place append of every
+#: :class:`_ColumnLog`, so two threads extending the same snapshot
+#: cannot both claim its tail.
+_LOG_LOCK = threading.Lock()
+
+
+class _ColumnLog:
+    """Append-only column storage shared along one extension chain.
+
+    Holds the codes (an ``int64`` buffer with doubling capacity when
+    NumPy imports, else a list), the dictionary and the reverse map.
+    Each snapshot (:class:`_LogColumn`) sees the prefix of ``rows`` and
+    ``cardinality`` it was created with.  Ownership rule: only the
+    snapshot whose prefix is the whole log — the chain head — appends
+    in place, so an append writes past every existing snapshot's prefix
+    and never changes what one sees.  Extending any other snapshot (a
+    second branch) seeds a private log first.
+    """
+
+    __slots__ = ("codes", "rows", "dictionary", "value_to_code")
+
+    def __init__(self, codes: Any, rows: int, dictionary: list[Any]) -> None:
+        self.codes = codes
+        self.rows = rows
+        self.dictionary = dictionary
+        self.value_to_code = {value: code for code, value in enumerate(dictionary)}
+
+    @classmethod
+    def seeded(cls, column: EncodedColumn) -> "_ColumnLog":
+        """A private log holding a copy of ``column``'s rows, O(n)."""
+        source = column._codes_array
+        if source is None:
+            source = column.codes
+        rows = len(source)
+        if kernels.numpy_available():
+            import numpy as np  # local: only reachable with numpy present
+
+            codes = np.empty(max(2 * rows, _MIN_LOG_CAPACITY), dtype=np.int64)
+            codes[:rows] = source
+        else:
+            codes = list(source)
+        return cls(codes, rows, list(column.dictionary))
+
+    def append(self, values: Sequence[Any], null_count: int) -> "_LogColumn":
+        """Append ``values`` after the last row; the new head snapshot.
+
+        ``null_count`` is the NULL count of the snapshot being extended.
+        The caller must own the log (be its head).
+        """
+        dictionary = self.dictionary
+        value_to_code = self.value_to_code
+        new_codes: list[int] = []
+        nulls = 0
+        for value in values:
+            if value is None:
+                new_codes.append(NULL_CODE)
+                nulls += 1
+                continue
+            code = value_to_code.get(value)
+            if code is None:
+                code = len(dictionary)
+                value_to_code[value] = code
+                dictionary.append(value)
+            new_codes.append(code)
+        start = self.rows
+        end = start + len(new_codes)
+        codes = self.codes
+        if codes.__class__ is list:
+            codes.extend(new_codes)
+        else:
+            if end > len(codes):
+                import numpy as np  # local: only reachable with numpy present
+
+                grown = np.empty(max(2 * len(codes), end), dtype=codes.dtype)
+                grown[:start] = codes[:start]
+                self.codes = codes = grown
+            codes[start:end] = new_codes
+        self.rows = end
+        return _LogColumn(self, end, len(dictionary), null_count + nulls)
+
+    def array_view(self, rows: int) -> Any:
+        """The first ``rows`` codes as a read-only ``int64`` view, or
+        ``None`` when the codes live in a list."""
+        codes = self.codes
+        if codes.__class__ is list:
+            return None
+        view = codes[:rows]
+        view.flags.writeable = False
+        return view
+
+    def code_list(self, rows: int) -> list[int]:
+        """A fresh list of the first ``rows`` codes."""
+        prefix = self.codes[:rows]
+        return prefix if prefix.__class__ is list else prefix.tolist()
+
+
+class _LogColumn(EncodedColumn):
+    """An :class:`EncodedColumn` snapshot over a shared :class:`_ColumnLog`.
+
+    The numpy code array is a read-only view of the log's first
+    ``rows`` codes, made at construction; the ``codes`` and
+    ``dictionary`` lists are built only when something reads them.
+    These lazy attributes live on this private subclass alone, so a
+    plain :class:`EncodedColumn` keeps plain slot reads.
+    """
+
+    __slots__ = ("_log", "_rows", "_cardinality", "_codes_list", "_dictionary_list")
+
+    def __init__(
+        self, log: _ColumnLog, rows: int, cardinality: int, null_count: int
+    ) -> None:
+        self._log = log
+        self._rows = rows
+        self._cardinality = cardinality
+        self._null_count = null_count
+        self._codes_list: list[int] | None = None
+        self._dictionary_list: list[Any] | None = None
+        self._codes_array = log.array_view(rows)
+
+    @property
+    def codes(self) -> list[int]:  # type: ignore[override]
+        """One int per row, as a list built on first read."""
+        if self._codes_list is None:
+            self._codes_list = self._log.code_list(self._rows)
+        return self._codes_list
+
+    @property
+    def dictionary(self) -> list[Any]:  # type: ignore[override]
+        """This snapshot's dictionary, as a list built on first read."""
+        if self._dictionary_list is None:
+            self._dictionary_list = self._log.dictionary[: self._cardinality]
+        return self._dictionary_list
+
+    def __len__(self) -> int:
+        return self._rows
+
+    @property
+    def cardinality(self) -> int:
+        """Number of distinct non-NULL values."""
+        return self._cardinality
+
+    def code_for(self, value: Any) -> int | None:
+        """Code of ``value``, or ``None`` if the value never occurs.
+
+        The shared reverse map also holds values later snapshots
+        introduced; their codes are ≥ this snapshot's cardinality.
+        """
+        if value is None:
+            return NULL_CODE
+        code = self._log.value_to_code.get(value)
+        if code is None or code >= self._cardinality:
+            return None
+        return code
+
+    def extended(self, values: Sequence[Any]) -> "EncodedColumn":
+        """A new snapshot with ``values`` appended.
+
+        The chain head appends to the shared log in place, O(Δ)
+        amortized; any other snapshot first copies its own rows into a
+        private log (see :class:`_ColumnLog`).
+        """
+        with _LOG_LOCK:
+            if self._log.rows == self._rows:
+                return self._log.append(values, self._null_count)
+        return super().extended(values)
+
+    def append_value(self, value: Any) -> None:
+        """Refused: an extension snapshot shares its storage."""
+        raise TypeError("an extended column is an immutable snapshot")
 
 
 def remap_dictionary(

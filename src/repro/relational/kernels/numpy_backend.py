@@ -544,15 +544,11 @@ def group_index(
     if arrays[0].shape[0] == 0:
         return {}
     perm, starts, ends, order, key_columns = _grouped_tail(arrays)
-    single = len(arrays) == 1
+    keys = key_columns[0] if len(arrays) == 1 else list(zip(*key_columns))
     starts_list, ends_list = starts.tolist(), ends.tolist()
     groups: dict = {}
     for group in order.tolist():
-        key = (
-            key_columns[0][group]
-            if single
-            else tuple(column[group] for column in key_columns)
-        )
+        key = keys[group]
         if keep_rows:
             groups[key] = perm[starts_list[group] : ends_list[group]].tolist()
         else:
@@ -577,18 +573,14 @@ def extend_group_index(
     if arrays[0].shape[0] == 0:
         return []
     perm, starts, ends, order, key_columns = _grouped_tail(arrays)
-    single = len(arrays) == 1
+    keys = key_columns[0] if len(arrays) == 1 else list(zip(*key_columns))
     starts_list, ends_list = starts.tolist(), ends.tolist()
     # One bulk conversion; per-group work is then pure list slicing
     # (tiny numpy slices per group would dominate at realistic Δ).
     rows_list = (perm + start_row).tolist() if keep_rows else None
     transitions: list[tuple[int, int]] = []
     for group in order.tolist():
-        key = (
-            key_columns[0][group]
-            if single
-            else tuple(column[group] for column in key_columns)
-        )
+        key = keys[group]
         added = ends_list[group] - starts_list[group]
         if keep_rows:
             bucket = groups.get(key)

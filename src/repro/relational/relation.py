@@ -365,8 +365,10 @@ class Relation:
         The returned relation holds this instance's tuples followed by
         ``rows``.  Unlike ``from_rows`` over the concatenation, the new
         snapshot *shares and patches* the parent's cached state instead
-        of recomputing it: column dictionaries are extended in place of
-        re-factorization, and every attribute set the parent had
+        of recomputing it: columns append to storage shared along the
+        extension chain in place of re-factorization or copying (only
+        the chain head appends in place; a second branch copies first),
+        and every attribute set the parent had
         counted, partitioned, or delta-tracked is folded forward in
         O(Δ) by the delta engine (:mod:`repro.relational.delta`).  The
         parent relation remains valid and immutable; its group trackers

@@ -31,8 +31,11 @@ The third layer is the **delta engine**
 ``Relation.extend``, :meth:`adopt_delta` moves the parent's group
 trackers over and folds the new rows in (O(Δ)), and promotes attribute
 sets the parent had counted or partitioned to trackers of its own
-(O(n), once per set per chain).  Tracked sets then answer distinct
-counts, entropies, agreeing-pair sums, and stripped-partition requests
+(O(n), once per set per chain).  A set the parent partitioned is
+promoted with its row lists, so it can hand out stripped partitions; a
+set the parent only counted is promoted counts-only (one size per
+group, no row lists), which is all its distinct count, entropy and
+agreeing-pair sum need.  Tracked sets then answer those statistics
 without any per-window recomputation.
 """
 
@@ -318,7 +321,9 @@ class RelationStatistics:
         attribute partitions up.  A single attribute always comes from
         its tracker when it has one (refining π_∅ would group the whole
         column anyway); a multi-attribute set refines first, so its
-        partition does not depend on whether the set is tracked.
+        partition does not depend on whether the set is tracked.  Only
+        trackers that keep rows serve partitions; a counts-only one is
+        skipped.
         """
         key = frozenset(attrs)
         partition = self._partition_cache.get(key)
@@ -327,7 +332,11 @@ class RelationStatistics:
             self._partition_cache.move_to_end(key)
             return partition
         tracker = self._trackers.get(key)
-        if tracker is not None and (len(key) == 1 or self._refinable_from(key) is None):
+        if (
+            tracker is not None
+            and tracker.keep_rows
+            and (len(key) == 1 or self._refinable_from(key) is None)
+        ):
             self._delta_hits += 1
             self._trackers.move_to_end(key)
             partition = tracker.stripped_partition()
@@ -427,24 +436,27 @@ class RelationStatistics:
     def track(self, attrs: Sequence[str]) -> GroupTracker:
         """Start (or fetch) delta maintenance for one attribute set.
 
-        The tracker is built cold once (O(n)) and from then on rides
-        every ``Relation.extend`` in O(Δ), answering distinct counts,
-        entropies, agreeing-pair sums, and stripped partitions for this
-        set without recomputation.
+        The tracker keeps its row lists.  It is built cold once (O(n))
+        and from then on rides every ``Relation.extend`` in O(Δ),
+        answering distinct counts, entropies, agreeing-pair sums, and
+        stripped partitions for this set without recomputation.  A
+        counts-only tracker that :meth:`adopt_delta` promoted for the
+        set is replaced by one that keeps rows.
         """
         names = self._schema.validate_names(attrs)
         if not names:
             raise ValueError("cannot track the empty attribute set")
         key = frozenset(names)
         tracker = self._trackers.get(key)
-        if tracker is None:
-            ordered = sorted(key)
-            tracker = GroupTracker.build(
-                ordered, [self._codes(name) for name in ordered], self._num_rows
-            )
-            self._store_tracker(key, tracker)
-        else:
+        if tracker is not None and tracker.keep_rows:
             self._trackers.move_to_end(key)
+            return tracker
+        ordered = sorted(key)
+        tracker = GroupTracker.build(
+            ordered, [self._codes(name) for name in ordered], self._num_rows
+        )
+        self._trackers.pop(key, None)
+        self._store_tracker(key, tracker)
         return tracker
 
     def tracked(self, attrs: Sequence[str]) -> GroupTracker | None:
@@ -482,12 +494,20 @@ class RelationStatistics:
         limit, oldest-first.  Every adopted set's distinct count is
         pre-filled, so the child answers the monitoring path's queries
         without touching the old rows at all.
+
+        Promotion rule: a set the parent partitioned keeps its rows, so
+        its tracker can serve :meth:`stripped_partition`; a set the
+        parent only counted is promoted counts-only, which folds Δ into
+        one size per group instead of row lists over all n rows.  A
+        moved tracker keeps its kind, except that a counts-only one is
+        rebuilt with rows (once) when the parent partitioned its set.
         """
         start = parent._num_rows
+        partitioned = parent._partition_cache
         keys: list[frozenset[str]] = list(parent._trackers)
         seen = set(keys)
         limit = _tracker_limit
-        for source in (parent._partition_cache, parent._distinct_cache):
+        for source in (partitioned, parent._distinct_cache):
             for key in source:
                 if key and key not in seen:
                     seen.add(key)
@@ -496,10 +516,15 @@ class RelationStatistics:
             keys = keys[:limit]
         for key in keys:
             tracker = parent._trackers.pop(key, None)
+            keep_rows = key in partitioned or (
+                tracker is not None and tracker.keep_rows
+            )
             ordered = sorted(key)
             code_columns = [self._codes(name) for name in ordered]
-            if tracker is None:
-                tracker = GroupTracker.build(ordered, code_columns, self._num_rows)
+            if tracker is None or tracker.keep_rows != keep_rows:
+                tracker = GroupTracker.build(
+                    ordered, code_columns, self._num_rows, keep_rows
+                )
             else:
                 tracker.extend(code_columns, start)
             self._store_tracker(key, tracker)

@@ -355,6 +355,10 @@ class StoredRelation:
         the delta engine folds it forward in O(chunk) and any tracked
         attribute sets stay warm; the returned head is byte-identical
         to a cold build over the concatenation (the extend contract).
+        Every step extends the chain head, which appends to column
+        storage shared along the chain instead of copying it, so
+        adopting k chunks costs time linear in the rows adopted (plus
+        one O(n) copy of ``base``'s columns), not quadratic in k.
         """
         end = self.num_chunks if end_chunk is None else end_chunk
         head = base

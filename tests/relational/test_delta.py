@@ -144,6 +144,49 @@ def test_violating_pairs_match_cold(data):
             )
 
 
+def _agreeing_pairs(partition):
+    return sum(len(c) * (len(c) - 1) // 2 for c in partition.classes)
+
+
+chains = st.tuples(
+    st.lists(st.tuples(values, st.integers(0, 3), st.integers(0, 2)), max_size=40),
+    st.lists(st.integers(0, 40), min_size=1, max_size=4),  # batch cut points
+)
+
+
+@given(chains)
+@settings(max_examples=30, deadline=None)
+def test_promoted_trackers_exact_along_chain(data):
+    """Counts-only (counted), row-keeping (partitioned) and ``track()``ed
+    sets all stay exact over a multi-step chain, on both backends."""
+    rows, cuts = data
+    schema = RelationSchema("t", ["A", "B", "C"])
+    bounds = sorted({min(cut, len(rows)) for cut in cuts} | {len(rows)})
+    sets = (["A", "B"], ["B"], ["A", "C"], ["B", "C"], ["A", "B", "C"])
+    for name in BACKENDS:
+        with kernels.use_backend(name):
+            relation = Relation.from_rows(schema, rows[: bounds[0]], validate=False)
+            relation.count_distinct(["A", "B"])  # promoted counts-only
+            relation.stripped_partition(["B"])  # promoted with rows
+            relation.stats.track(["A", "C"])  # explicit: keeps rows
+            for start, end in zip(bounds, bounds[1:]):
+                relation = relation.extend(rows[start:end], validate=False)
+                relation.count_distinct(["B", "C"])  # promoted at the next step
+                cold = Relation.from_rows(schema, rows[:end], validate=False)
+                for attrs in sets:
+                    assert relation.count_distinct(attrs) == cold.count_distinct(attrs)
+                    partition = cold.stripped_partition(attrs)
+                    pairs = relation.stats.tracked_agreeing_pairs(attrs)
+                    if pairs is not None:
+                        assert pairs == _agreeing_pairs(partition)
+                    tracked = relation.stats.tracked_entropy(attrs)
+                    if tracked is not None:
+                        assert tracked == pytest.approx(entropy(partition), abs=1e-9)
+                assert relation.stats.tracked(["A", "B"]).keep_rows is False
+                assert relation.stats.tracked(["B"]).keep_rows is True
+                assert relation.stats.tracked(["A", "C"]).keep_rows is True
+
+
 class TestGroupTracker:
     def test_build_then_extend_matches_rebuild(self, backend):
         codes = [0, 1, 0, -1, 2, 1]
@@ -252,6 +295,84 @@ class TestAdoptDelta:
         child.stats.stripped_partition([])  # π_∅ refines to π_A, yet...
         child.stats.stripped_partition(["A"])
         assert child.stats.delta_hits == 1  # ...the tracker serves it
+
+    def test_counted_only_sets_promote_counts_only(self):
+        relation = Relation.from_columns("t", {"A": [1, 1, 2], "B": [0, 1, 0]})
+        relation.count_distinct(["A", "B"])
+        relation.count_distinct(["B"])
+        child = relation.extend([(1, 0)])
+        assert child.stats.tracked(["A", "B"]).keep_rows is False
+        assert child.stats.tracked(["B"]).keep_rows is False
+
+    def test_partitioned_and_tracked_sets_keep_rows(self):
+        relation = Relation.from_columns(
+            "t", {"A": [1, 1, 2], "B": [0, 1, 0], "C": [5, 5, 6]}
+        )
+        relation.stripped_partition(["A", "B"])
+        relation.stats.track(["C"])
+        child = relation.extend([(1, 0, 5)])
+        assert child.stats.tracked(["A", "B"]).keep_rows is True
+        assert child.stats.tracked(["C"]).keep_rows is True
+        # Moved trackers keep their kind along the chain.
+        grandchild = child.extend([(2, 1, 6)])
+        assert grandchild.stats.tracked(["A", "B"]).keep_rows is True
+        assert grandchild.stats.tracked(["C"]).keep_rows is True
+
+    def test_counts_only_multi_attribute_key_builds_partition(self, backend):
+        rows = [(1, 0), (1, 0), (2, 1), (2, 1), (1, 1), (3, 0)]
+        relation = Relation.from_rows(RelationSchema("t", ["A", "B"]), rows[:4])
+        relation.count_distinct(["A", "B"])
+        child = relation.extend(rows[4:])
+        stats = child.stats
+        assert stats.tracked(["A", "B"]).keep_rows is False
+        hits = stats.delta_hits
+        partition = stats.stripped_partition(["A", "B"])
+        assert stats.delta_hits == hits  # the counts-only tracker holds no rows
+        cold = Relation.from_rows(child.schema, rows)
+        assert canonical(partition) == canonical(cold.stripped_partition(["A", "B"]))
+
+    def test_counts_only_size_map_stays_tracked_by_collector(self, backend):
+        """A full collection must not untrack a multi-column size map,
+        or each new tuple key would put all of it back in the youngest
+        generation for the next young collections to walk."""
+        import gc
+
+        relation = Relation.from_columns("t", {"A": [1, 1, 2], "B": [5, 6, 5]})
+        relation.count_distinct(["A", "B"])
+        child = relation.extend([(1, 5)])
+        groups = child.stats.tracked(["A", "B"]).groups
+        gc.collect()
+        assert gc.is_tracked(groups)
+        grandchild = child.extend([(3, 7)])
+        assert grandchild.stats.tracked(["A", "B"]).groups is groups
+        assert grandchild.count_distinct(["A", "B"]) == 4
+
+    def test_partitioned_counts_only_set_regains_rows(self):
+        relation = Relation.from_columns("t", {"A": [1, 1, 2], "B": [0, 1, 0]})
+        relation.count_distinct(["A", "B"])
+        child = relation.extend([(1, 0)])
+        child.stripped_partition(["A", "B"])
+        grandchild = child.extend([(2, 0)])
+        tracker = grandchild.stats.tracked(["A", "B"])
+        assert tracker.keep_rows is True
+        assert canonical(tracker.stripped_partition()) == {
+            frozenset({0, 3}),
+            frozenset({2, 4}),
+        }
+
+    def test_track_upgrades_counts_only_tracker(self):
+        relation = Relation.from_columns("t", {"A": [1, 1, 2], "B": [0, 0, 1]})
+        relation.count_distinct(["A", "B"])
+        child = relation.extend([(2, 1)])
+        assert child.stats.tracked(["A", "B"]).keep_rows is False
+        tracker = child.stats.track(["A", "B"])
+        assert tracker.keep_rows is True
+        assert child.stats.tracked(["A", "B"]) is tracker
+        assert child.stats.tracked_sets == 1
+        assert canonical(tracker.stripped_partition()) == {
+            frozenset({0, 1}),
+            frozenset({2, 3}),
+        }
 
     def test_superseded_snapshot_freed_without_collector(self, backend):
         """Statistics hold no back-pointer to their relation, so a
