@@ -64,14 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
             "extending their antecedents (EDBT 2016 CB method)."
         ),
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="morsel-driven parallelism: pool width for the discovery/"
-        "validation engines (0 = serial; overrides REPRO_WORKERS)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     init = sub.add_parser("init", help="create a new catalog directory")
@@ -282,13 +274,6 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.workers is not None:
-        from repro.relational import parallel
-
-        try:
-            parallel.set_workers(args.workers)
-        except ValueError as error:
-            parser.error(str(error))
     try:
         return _dispatch(args)
     except ReproError as error:

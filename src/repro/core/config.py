@@ -56,16 +56,11 @@ class EngineConfig:
     precedence over the ``REPRO_BACKEND`` environment variable; cache
     bounds via :func:`repro.relational.statistics.configure_caches`;
     the tile via :func:`repro.dc.engine.set_tile`, taking precedence
-    over ``REPRO_DC_TILE``).  ``workers`` selects the morsel-driven
-    parallel layer's pool width (0 = serial, the byte-identical
-    oracle; 1 also runs inline; ≥ 2 fans work units across a process
-    pool on the numpy backend / a thread pool on the python backend),
-    installed via :func:`repro.relational.parallel.set_workers` and
-    taking precedence over ``REPRO_WORKERS``.  ``approx`` picks the
-    profiling estimator family for the out-of-core layer
-    (:mod:`repro.storage.profile`): ``"exact"`` (spill-merge kernels,
-    the default) or ``"sketch"`` (:mod:`repro.sketch` HyperLogLog +
-    seeded samples with stated error bounds), installed via
+    over ``REPRO_DC_TILE``).  ``approx`` picks the profiling estimator
+    family for the out-of-core layer (:mod:`repro.storage.profile`):
+    ``"exact"`` (spill-merge kernels, the default) or ``"sketch"``
+    (:mod:`repro.sketch` HyperLogLog + seeded samples with stated error
+    bounds), installed via
     :func:`repro.sketch.set_approx` and taking precedence over
     ``REPRO_APPROX``.  ``optimize`` switches the PR-10 query optimizer
     (plan rewrites in :mod:`repro.sql.optimize` plus zone-map chunk
@@ -80,7 +75,6 @@ class EngineConfig:
     partition_cache_size: int | None = 8192
     delta_track_limit: int | None = 64
     dc_tile: int = 4096
-    workers: int = 0
     approx: str = "exact"
     optimize: str = "on"
 
@@ -89,10 +83,8 @@ class EngineConfig:
             raise ValueError(
                 f"backend must be 'auto', 'python' or 'numpy', got {self.backend!r}"
             )
-        if self.partition_cache_size is not None and self.partition_cache_size < 1:
-            raise ValueError("partition_cache_size must be >= 1 or None")
-        if self.delta_track_limit is not None and self.delta_track_limit < 1:
-            raise ValueError("delta_track_limit must be >= 1 or None")
+        statistics._validate_limit("partition_cache_size", self.partition_cache_size)
+        statistics._validate_limit("delta_track_limit", self.delta_track_limit)
         if (
             isinstance(self.dc_tile, bool)
             or not isinstance(self.dc_tile, int)
@@ -100,14 +92,6 @@ class EngineConfig:
         ):
             raise ValueError(
                 f"dc_tile must be a positive integer, got {self.dc_tile!r}"
-            )
-        if isinstance(self.workers, bool) or not isinstance(self.workers, int):
-            raise ValueError(
-                f"workers must be a non-negative integer, got {self.workers!r}"
-            )
-        if self.workers < 0:
-            raise ValueError(
-                f"workers must be a non-negative integer, got {self.workers}"
             )
         if self.approx not in ("exact", "sketch"):
             raise ValueError(
@@ -128,7 +112,6 @@ class EngineConfig:
 
         * ``REPRO_BACKEND``  → :attr:`backend`
         * ``REPRO_DC_TILE``  → :attr:`dc_tile`
-        * ``REPRO_WORKERS``  → :attr:`workers`
         * ``REPRO_APPROX``   → :attr:`approx`
         * ``REPRO_OPTIMIZE`` → :attr:`optimize`
 
@@ -142,7 +125,6 @@ class EngineConfig:
 
         from repro import sketch
         from repro.dc import engine as dc_engine
-        from repro.relational import parallel
         from repro.sql import optimize as sql_optimize
 
         overrides: dict[str, object] = {}
@@ -162,18 +144,6 @@ class EngineConfig:
                 ) from None
             overrides["dc_tile"] = dc_engine._validate_tile(
                 value, f"${dc_engine.TILE_ENV_VAR}"
-            )
-        workers = os.environ.get(parallel.WORKERS_ENV_VAR)
-        if workers:
-            try:
-                value = int(workers)
-            except ValueError:
-                raise ValueError(
-                    f"workers must be a non-negative integer, got {workers!r} "
-                    f"(from ${parallel.WORKERS_ENV_VAR})"
-                ) from None
-            overrides["workers"] = parallel._validate_workers(
-                value, f"${parallel.WORKERS_ENV_VAR}"
             )
         approx = os.environ.get(sketch.APPROX_ENV_VAR)
         if approx:
@@ -201,7 +171,6 @@ class EngineConfig:
         """
         from repro import sketch
         from repro.dc import engine as dc_engine
-        from repro.relational import parallel
         from repro.sql import optimize as sql_optimize
 
         kernels.set_backend(self.backend)
@@ -210,7 +179,6 @@ class EngineConfig:
             delta_track_limit=self.delta_track_limit,
         )
         dc_engine.set_tile(self.dc_tile)
-        parallel.set_workers(self.workers)
         sketch.set_approx(self.approx)
         sql_optimize.set_optimize(self.optimize)
 

@@ -44,7 +44,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.relational import kernels, parallel
+from repro.relational import kernels
 from repro.relational.errors import validate_engine
 from repro.relational.relation import Relation
 
@@ -208,59 +208,6 @@ def _pred_ops(pair_space: _PairSpace, dc_mask: int) -> list[tuple[int, int]]:
 
 
 # ----------------------------------------------------------------------
-# The (optionally parallel) full pair-space sweep
-# ----------------------------------------------------------------------
-def _sweep_morsel(arrays, payload, blocks):
-    """Pool worker: fold one contiguous run of block rectangles.
-
-    Runs the same block kernel the serial sweep runs; the partial
-    counts dict carries its masks in this morsel's first-seen order,
-    which the caller merges back in morsel order.
-    """
-    backend_name, meta = payload
-    backend = kernels.backend_module(backend_name)
-    specs = backend.evidence_restore(arrays, meta)
-    counts: dict[int, int] = {}
-    backend.evidence_sweep_blocks(specs, blocks, counts)
-    return counts
-
-
-def _evidence_sweep(specs: dict, tile: int, counts: dict[int, int]) -> None:
-    """The full-coverage sweep, fanned across the morsel pool when
-    workers are configured.
-
-    Byte-identical to ``backend.evidence_sweep``: the block list is
-    split into contiguous morsels and the per-morsel counts are merged
-    in morsel order, so a mask's first insertion — and with it the
-    final dict order — lands exactly where the serial traversal puts
-    it.
-    """
-    backend = kernels.get_backend()
-    workers = parallel.effective_workers()
-    if parallel.pool_kind(workers) == "serial":
-        backend.evidence_sweep(specs, tile, counts)
-        return
-    m = specs["m"]
-    if m < 2:
-        return
-    blocks = list(backend.evidence_blocks(m, tile))
-    if len(blocks) < 2:
-        backend.evidence_sweep(specs, tile, counts)
-        return
-    arrays, meta = backend.evidence_export(specs)
-    payload = (kernels.active_backend_name(), meta)
-    parts = parallel.morsel_map(
-        _sweep_morsel,
-        parallel.split_morsels(blocks, workers * 4),
-        arrays=arrays,
-        payload=payload,
-    )
-    for part in parts:
-        for mask, weight in part.items():
-            counts[mask] = counts.get(mask, 0) + weight
-
-
-# ----------------------------------------------------------------------
 # Tiled evidence construction
 # ----------------------------------------------------------------------
 def build_evidence_tiled(
@@ -300,7 +247,7 @@ def build_evidence_tiled(
     backend = kernels.get_backend()
     rep_total = pair_space.rep_pairs
     if max_pairs is None or max_pairs >= rep_total:
-        _evidence_sweep(pair_space.specs, tile, counts)
+        backend.evidence_sweep(pair_space.specs, tile, counts)
         return EvidenceSet(
             space=space,
             counts=counts,
@@ -441,7 +388,7 @@ def discover_dcs(
         counts[pair_space.eq_all] = 2 * pair_space.within_pairs
     backend = kernels.get_backend()
     if covered:
-        _evidence_sweep(pair_space.specs, tile, counts)
+        backend.evidence_sweep(pair_space.specs, tile, counts)
     else:
         m = pair_space.num_reps
         lefts = []

@@ -45,7 +45,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.fd.fd import FunctionalDependency
-from repro.relational import kernels, parallel
 from repro.relational.relation import Relation
 
 __all__ = ["DiscoveredFD", "DiscoveryResult", "discover_fds", "discover_fds_plain"]
@@ -166,103 +165,6 @@ class _LatticeNode:
         return self.base.refined_error(*self.columns, codes)
 
 
-def _thread_refined_error(arrays, payload, task) -> int:
-    """Thread-pool worker: one candidate error through a shared node."""
-    node, codes = task
-    return node.refined_error(codes)
-
-
-def _shm_refined_error(arrays, payload, task) -> int:
-    """Process-pool worker: one candidate error off shared-memory views.
-
-    ``payload`` carries the resolved backend name plus, per node, the
-    slots of its flat partition arrays and virtual-chain columns; the
-    task picks a node and a rhs column slot.  The arithmetic is exactly
-    ``refined_error`` without the partition object.
-    """
-    backend_name, node_meta = payload
-    backend = kernels.backend_module(backend_name)
-    node_index, rhs_slot = task
-    rows_slot, ids_slot, chain_slots = node_meta[node_index]
-    code_columns = [arrays[slot] for slot in chain_slots]
-    code_columns.append(arrays[rhs_slot])
-    return backend.refined_error_arrays(
-        arrays[rows_slot], arrays[ids_slot], code_columns
-    )
-
-
-def _export_refinement_jobs(items, columns):
-    """Shared-memory export of Pass B's refinement jobs.
-
-    Nodes are deduplicated by identity (one flat-array export however
-    many targets scan through it) and rhs code columns by name, so the
-    segment holds each array exactly once.
-    """
-    backend = kernels.get_backend()
-    arrays: list = []
-    node_slots: dict[int, int] = {}
-    node_meta: list[tuple[int, int, tuple[int, ...]]] = []
-    column_slots: dict[str, int] = {}
-    tasks: list[tuple[int, int]] = []
-    for _target, (node, rhs) in items:
-        node_index = node_slots.get(id(node))
-        if node_index is None:
-            partition = node.partition if node.partition is not None else node.base
-            rows, ids = backend.flat_partition_arrays(partition)
-            rows_slot = len(arrays)
-            arrays.append(rows)
-            ids_slot = len(arrays)
-            arrays.append(ids)
-            chain = () if node.partition is not None else node.columns
-            chain_slots = []
-            for codes in chain:
-                chain_slots.append(len(arrays))
-                arrays.append(backend.as_code_array(codes))
-            node_index = len(node_meta)
-            node_slots[id(node)] = node_index
-            node_meta.append((rows_slot, ids_slot, tuple(chain_slots)))
-        rhs_slot = column_slots.get(rhs)
-        if rhs_slot is None:
-            rhs_slot = len(arrays)
-            column_slots[rhs] = rhs_slot
-            arrays.append(backend.as_code_array(columns[rhs]))
-        tasks.append((node_index, rhs_slot))
-    return arrays, tuple(node_meta), tasks
-
-
-def _target_counts(n: int, sources: dict, columns: dict) -> dict:
-    """Pass B's ``{target: |π_XA|}`` map, morsel-parallel when enabled.
-
-    Serial and parallel modes iterate ``sources`` in the same insertion
-    order and build the result dict in that order, so downstream
-    consumers observe byte-identical state.  Thread workers share the
-    live nodes (refined_error only reads them, and the lazy ``_flat``
-    memo is an idempotent assignment); process workers get flat
-    partition arrays through shared memory.
-    """
-    items = list(sources.items())
-    kind = parallel.pool_kind()
-    if kind == "serial" or len(items) < 2:
-        return {
-            target: n - node.refined_error(columns[rhs])
-            for target, (node, rhs) in items
-        }
-    if kind == "process":
-        arrays, node_meta, tasks = _export_refinement_jobs(items, columns)
-        errors = parallel.morsel_map(
-            _shm_refined_error,
-            tasks,
-            arrays=arrays,
-            payload=(kernels.active_backend_name(), node_meta),
-        )
-    else:
-        errors = parallel.morsel_map(
-            _thread_refined_error,
-            [(node, columns[rhs]) for _target, (node, rhs) in items],
-        )
-    return {target: n - error for (target, _source), error in zip(items, errors)}
-
-
 def discover_fds(
     relation: Relation,
     max_lhs_size: int = 3,
@@ -293,13 +195,6 @@ def discover_fds(
     root = _LatticeNode(None, None, ())
     root.cands = frozenset(pool)
     prev: dict[frozenset[str], _LatticeNode] = {frozenset(): root}
-
-    # Under a worker pool, batch-build the level-1 base partitions as
-    # one morsel map.  With >1 attribute the serial walk builds exactly
-    # these singletons in pool order, so cache contents, insertion
-    # order and build counters all stay byte-identical to the oracle.
-    if len(pool) > 1 and parallel.pool_kind() != "serial":
-        relation.stats.prime_partitions([(name,) for name in pool])
 
     for level in range(1, max_lhs_size + 1):
         result.levels_explored = level
@@ -388,7 +283,10 @@ def discover_fds(
             shrunk = min(2 * node_error[id(node)], base_covered)
             if scans * (base_covered - shrunk) > 3 * base_covered:
                 node.materialize()
-        target_count = _target_counts(n, sources, columns)
+        target_count = {
+            target: n - node.refined_error(columns[rhs])
+            for target, (node, rhs) in sources.items()
+        }
 
         # Pass C — emit FDs in the deterministic (combination, pool)
         # order and roll the survivors into the next level's store.

@@ -19,7 +19,6 @@ __all__ = [
     "DuplicateRelationError",
     "ArityError",
     "KernelBackendError",
-    "WorkerPoolError",
     "validate_engine",
 ]
 
@@ -114,24 +113,6 @@ class KernelBackendError(ReproError):
     def __init__(self, backend: str, reason: str) -> None:
         super().__init__(f"kernel backend {backend!r} unavailable: {reason}")
         self.backend = backend
-        self.reason = reason
-
-
-class WorkerPoolError(ReproError):
-    """The morsel worker pool failed mid-map (worker crash or stall).
-
-    Raised when a process pool stops making progress within the
-    configured morsel timeout — the typical cause is a worker killed by
-    the OS (OOM, SIGKILL) whose tasks can never complete.  The error is
-    *retryable*: the broken pool has already been discarded when it is
-    raised, so the next morsel map (or a caller-level retry, e.g. the
-    monitoring service's backoff loop) transparently builds a fresh
-    pool.
-    """
-
-    def __init__(self, kind: str, reason: str) -> None:
-        super().__init__(f"worker pool ({kind}) failed: {reason}")
-        self.kind = kind
         self.reason = reason
 
 

@@ -53,7 +53,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any, Union
 
-from . import kernels, parallel
+from . import kernels
 from .encoding import NULL_CODE, UNSEEN_CODE, remap_dictionary
 from .errors import ReproError
 
@@ -416,7 +416,7 @@ def predicate_mask(relation, expr: Predicate):
     oracle so the raised message is the oracle's own.
     """
     backend = kernels.get_backend()
-    truth, error = _root_mask(relation, expr, backend)
+    truth, error = _mask(relation, expr, backend)
     if error is not None and backend.mask_any(error):
         row = backend.filter_mask(error)[0]
         _raise_for_row(relation, expr, int(row))
@@ -441,201 +441,6 @@ def _raise_for_row(relation, expr: Predicate, row: int) -> None:
     raise ExpressionError(  # pragma: no cover - defensive
         f"row {row} failed columnar evaluation but not the scalar oracle"
     )
-
-
-#: Below this row count a chunked mask cannot repay pool dispatch; the
-#: oracle suite lowers it to force the parallel path on tiny relations.
-_PARALLEL_ROW_FLOOR = 4096
-
-
-class _ColumnSlice:
-    """A row-range view of a column (thread-pool mask workers).
-
-    Delegates the dictionary and reverse map to the base column (shared
-    state is fine: the reverse map is a lazily memoized pure function),
-    slicing only the per-row surfaces the mask evaluator touches.
-    """
-
-    __slots__ = ("_base", "_lo", "_hi")
-
-    def __init__(self, base, lo: int, hi: int) -> None:
-        self._base = base
-        self._lo = lo
-        self._hi = hi
-
-    @property
-    def dictionary(self):
-        return self._base.dictionary
-
-    def code_for(self, value):
-        return self._base.code_for(value)
-
-    def kernel_codes(self):
-        return self._base.kernel_codes()[self._lo : self._hi]
-
-    def value(self, row: int):
-        return self._base.value(self._lo + row)
-
-
-class _RelationSlice:
-    """A row-range view of a relation for one mask chunk."""
-
-    __slots__ = ("_base", "_lo", "num_rows")
-
-    def __init__(self, base, lo: int, hi: int) -> None:
-        self._base = base
-        self._lo = lo
-        self.num_rows = hi - lo
-
-    @property
-    def schema(self):
-        return self._base.schema
-
-    def column(self, name: str):
-        return _ColumnSlice(self._base.column(name), self._lo, self._lo + self.num_rows)
-
-
-class _ShippedColumn:
-    """A column chunk rebuilt in a process-pool worker.
-
-    Holds a shared-memory view of the chunk's codes plus the pickled
-    dictionary; :meth:`code_for` and :meth:`value` mirror
-    :class:`~repro.relational.encoding.EncodedColumn` exactly (NULL →
-    ``NULL_CODE``, lazy reverse map), so dictionary probes resolve the
-    same codes the parent would.
-    """
-
-    __slots__ = ("_codes", "dictionary", "_value_to_code")
-
-    def __init__(self, codes, dictionary) -> None:
-        self._codes = codes
-        self.dictionary = dictionary
-        self._value_to_code = None
-
-    def code_for(self, value):
-        if value is None:
-            return NULL_CODE
-        if self._value_to_code is None:
-            self._value_to_code = {
-                v: code for code, v in enumerate(self.dictionary)
-            }
-        return self._value_to_code.get(value)
-
-    def kernel_codes(self):
-        return self._codes
-
-    def value(self, row: int):
-        code = int(self._codes[row])
-        if code == NULL_CODE:
-            return None
-        return self.dictionary[code]
-
-
-class _ShippedSchema:
-    __slots__ = ("_names",)
-
-    def __init__(self, names) -> None:
-        self._names = names
-
-    def position(self, name: str) -> int:
-        return self._names.index(name)  # ValueError for unknown columns
-
-
-class _ShippedRelation:
-    """A relation chunk rebuilt in a process-pool worker: only the
-    columns the predicate references, as shared-memory code views."""
-
-    __slots__ = ("num_rows", "_columns", "schema")
-
-    def __init__(self, num_rows: int, columns: dict) -> None:
-        self.num_rows = num_rows
-        self._columns = columns
-        self.schema = _ShippedSchema(tuple(columns))
-
-    def column(self, name: str):
-        return self._columns[name]
-
-
-def _mask_chunk_local(arrays, payload, bounds):
-    """Thread-pool worker: one row-range chunk of the mask."""
-    relation, expr, backend = payload
-    lo, hi = bounds
-    return _mask(_RelationSlice(relation, lo, hi), expr, backend)
-
-
-def _mask_chunk_shm(arrays, payload, bounds):
-    """Process-pool worker: one chunk off shared-memory code views."""
-    backend_name, expr, cols_meta = payload
-    backend = kernels.backend_module(backend_name)
-    lo, hi = bounds
-    columns = {
-        name: _ShippedColumn(arrays[slot][lo:hi], dictionary)
-        for name, (slot, dictionary) in cols_meta.items()
-    }
-    return _mask(_ShippedRelation(hi - lo, columns), expr, backend)
-
-
-def _root_mask(relation, expr: Predicate, backend):
-    """``_mask`` at the relation root, chunk-parallel when enabled.
-
-    Rows split into contiguous ranges, one ``_mask`` evaluation per
-    chunk, truth/error masks concatenated in chunk order — an exact
-    slicing of the serial evaluation, because every mask path is
-    elementwise and every dictionary-level probe (reverse maps, truth
-    tables, cross-dictionary remaps) is a pure function of the *whole*
-    column, which both worker flavours see.  Falls back to the serial
-    walk whenever the fan-out cannot pay (small relations, a single
-    chunk, unpicklable payloads on the process pool).
-    """
-    kind = parallel.pool_kind()
-    n = relation.num_rows
-    if (
-        kind == "serial"
-        or n < max(_PARALLEL_ROW_FLOOR, 2)
-        or not is_predicate(expr)  # let the serial walk raise its error
-    ):
-        return _mask(relation, expr, backend)
-    workers = parallel.effective_workers()
-    chunk = -(-n // (workers * 2))
-    bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    if len(bounds) < 2:
-        return _mask(relation, expr, backend)
-    if kind == "process":
-        names = []
-        for name in columns_of(expr):
-            try:
-                relation.schema.position(name)
-            except Exception:
-                continue  # unknown column: the worker's leaf errors too
-            names.append(name)
-        dictionaries = {name: relation.column(name).dictionary for name in names}
-        if not parallel.picklable(expr, dictionaries):
-            return _mask(relation, expr, backend)
-        backend_arrays = []
-        cols_meta = {}
-        for name in names:
-            cols_meta[name] = (len(backend_arrays), dictionaries[name])
-            backend_arrays.append(
-                backend.as_code_array(relation.column(name).kernel_codes())
-            )
-        parts = parallel.morsel_map(
-            _mask_chunk_shm,
-            bounds,
-            arrays=backend_arrays,
-            payload=(kernels.active_backend_name(), expr, cols_meta),
-        )
-    else:
-        parts = parallel.morsel_map(
-            _mask_chunk_local, bounds, payload=(relation, expr, backend)
-        )
-    truth = backend.mask_concat([chunk_truth for chunk_truth, _ in parts])
-    if all(chunk_error is None for _, chunk_error in parts):
-        return truth, None
-    errors = [
-        chunk_error if chunk_error is not None else backend.mask_fill(hi - lo, False)
-        for (lo, hi), (_, chunk_error) in zip(bounds, parts)
-    ]
-    return truth, backend.mask_concat(errors)
 
 
 def _mask(relation, expr: Predicate, backend):

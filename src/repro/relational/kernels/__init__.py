@@ -49,7 +49,6 @@ from ..errors import KernelBackendError
 __all__ = [
     "BACKEND_ENV_VAR",
     "available_backends",
-    "backend_module",
     "get_backend",
     "active_backend_name",
     "numpy_available",
@@ -133,28 +132,6 @@ def active_backend_name() -> str:
 def get_backend() -> ModuleType:
     """The active kernel backend module (resolved per call)."""
     if _resolve() == "numpy":
-        from . import numpy_backend
-
-        return numpy_backend
-    from . import python_backend
-
-    return python_backend
-
-
-def backend_module(name: str) -> ModuleType:
-    """The backend module for a concrete name (``python``/``numpy``).
-
-    The parallel layer ships the *resolved* backend name to pool
-    workers and resolves it here, so a worker process always runs the
-    exact backend its parent exported state for — independent of the
-    worker's own environment-based resolution.
-    """
-    normalized = _normalize(name, "backend_module()")
-    if normalized == "auto":
-        normalized = "numpy" if numpy_available() else "python"
-    if normalized == "numpy":
-        if not numpy_available():
-            raise KernelBackendError("numpy", "NumPy is not installed")
         from . import numpy_backend
 
         return numpy_backend

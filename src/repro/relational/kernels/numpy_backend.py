@@ -366,34 +366,6 @@ def _regroup(
     )
 
 
-def as_code_array(codes: Sequence[int]) -> np.ndarray:
-    """Public alias of the int64 coercion (the parallel layer's export
-    path uses it to ship list-based code columns as arrays)."""
-    return _as_array(codes)
-
-
-def flat_partition_arrays(partition) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, class ids) arrays of a partition from either backend."""
-    return _flat_arrays(partition)
-
-
-def refined_error_arrays(
-    rows: np.ndarray, ids: np.ndarray, code_columns: Sequence
-) -> int:
-    """``e(X·A₁…A_k)`` from a partition's flat arrays.
-
-    Exactly :meth:`ArrayStrippedPartition.refined_error` without the
-    wrapper object — what TANE's process-pool workers run against
-    shared-memory views of the parent's partitions.
-    """
-    covered = int(rows.shape[0])
-    if covered == 0:
-        return 0
-    keys = [ids]
-    keys.extend(_as_array(codes)[rows] for codes in code_columns)
-    return covered - _distinct(keys)
-
-
 def _flat_arrays(partition) -> tuple[np.ndarray, np.ndarray]:
     """(rows, class ids) flat arrays for a partition of either backend."""
     if isinstance(partition, ArrayStrippedPartition):
@@ -655,11 +627,6 @@ def mask_table_lookup(
         lookup[:-1] = np.asarray(table, dtype=bool)
     lookup[-1] = null_value
     return lookup[_as_array(codes)]
-
-
-def mask_concat(masks: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate row-range mask chunks back into one relation mask."""
-    return np.concatenate(list(masks))
 
 
 def mask_codes_eq(left: Sequence[int], right: Sequence[int]) -> np.ndarray:
@@ -1497,89 +1464,8 @@ def evidence_sweep(specs: dict, tile: int, counts: dict[int, int]) -> None:
     m = specs["m"]
     if m < 2:
         return
-    evidence_sweep_blocks(specs, _blocks(m, tile), counts)
-
-
-def evidence_blocks(m: int, tile: int):
-    """The sweep's block rectangles, in traversal order.
-
-    The parallel evidence path lists these once, splits the list into
-    contiguous morsels, and merges the per-morsel counts in morsel
-    order — reproducing the serial sweep's first-seen mask order
-    exactly.
-    """
-    yield from _blocks(m, tile)
-
-
-def evidence_sweep_blocks(specs: dict, blocks, counts: dict[int, int]) -> None:
-    """Fold an explicit run of block rectangles (a sweep morsel)."""
-    for a, b, jlo, jhi, diagonal in blocks:
+    for a, b, jlo, jhi, diagonal in _blocks(m, tile):
         _fold_block(specs, a, b, jlo, jhi, diagonal, counts)
-
-
-def evidence_export(specs: dict) -> tuple[list, dict]:
-    """Split a spec into its flat arrays plus a picklable manifest.
-
-    The arrays travel to pool workers through shared memory (zero
-    copy); the manifest carries everything else — lane words as plain
-    ints, slot indices for each array.  :func:`evidence_restore`
-    rebuilds an equivalent spec from worker-side views.
-    """
-    arrays: list = []
-    attr_meta = []
-    for rep_codes, ranks, valid, lanes, touched in specs["attrs"]:
-        codes_slot = len(arrays)
-        arrays.append(rep_codes)
-        ranks_slot = valid_slot = -1
-        if ranks is not None:
-            ranks_slot = len(arrays)
-            arrays.append(ranks)
-        if valid is not None:
-            valid_slot = len(arrays)
-            arrays.append(valid)
-        attr_meta.append(
-            (
-                codes_slot,
-                ranks_slot,
-                valid_slot,
-                tuple(tuple(int(word) for word in lane) for lane in lanes),
-                tuple(touched),
-            )
-        )
-    mults_slot = len(arrays)
-    arrays.append(specs["mults"])
-    meta = {
-        "attr_meta": tuple(attr_meta),
-        "mults_slot": mults_slot,
-        "m": specs["m"],
-        "num_words": specs["num_words"],
-        "radixes": tuple(specs["radixes"]),
-        "combo_size": specs["combo_size"],
-    }
-    return arrays, meta
-
-
-def evidence_restore(arrays: Sequence, meta: dict) -> dict:
-    """Rebuild an evidence spec from exported arrays + manifest."""
-    attrs = []
-    for codes_slot, ranks_slot, valid_slot, lanes, touched in meta["attr_meta"]:
-        attrs.append(
-            (
-                arrays[codes_slot],
-                arrays[ranks_slot] if ranks_slot >= 0 else None,
-                arrays[valid_slot] if valid_slot >= 0 else None,
-                [tuple(np.int64(word) for word in lane) for lane in lanes],
-                list(touched),
-            )
-        )
-    return {
-        "attrs": attrs,
-        "mults": arrays[meta["mults_slot"]],
-        "m": meta["m"],
-        "num_words": meta["num_words"],
-        "radixes": list(meta["radixes"]),
-        "combo_size": meta["combo_size"],
-    }
 
 
 def evidence_pairs_into(

@@ -301,14 +301,6 @@ def mask_table_lookup(
     return [null_value if c < 0 else table[c] for c in codes]
 
 
-def mask_concat(masks: Sequence[Sequence[bool]]) -> list[bool]:
-    """Concatenate row-range mask chunks back into one relation mask."""
-    out: list[bool] = []
-    for mask in masks:
-        out.extend(mask)
-    return out
-
-
 def mask_codes_eq(left: Sequence[int], right: Sequence[int]) -> list[bool]:
     """Elementwise code equality of two parallel code sequences."""
     return [a == b for a, b in zip(left, right)]
@@ -645,44 +637,20 @@ def evidence_sweep(specs: dict, tile: int, counts: dict[int, int]) -> None:
     either way) but keep the traversal structurally identical to the
     numpy tiles, so both backends see the same pair order.
     """
-    evidence_sweep_blocks(specs, evidence_blocks(specs["m"], tile), counts)
-
-
-def evidence_blocks(m: int, tile: int):
-    """The sweep's ``(ilo, ihi, jlo, jhi)`` blocks, in traversal order.
-
-    The parallel layer lists these, splits them into contiguous
-    morsels, and merges per-morsel counts in morsel order — the same
-    first-seen mask order the serial sweep produces.
-    """
+    attrs = specs["attrs"]
+    mults = specs["mults"]
+    m = specs["m"]
     for ilo in range(0, m, tile):
         ihi = min(ilo + tile, m)
         for jlo in range(ilo, m, tile):
-            yield ilo, ihi, jlo, min(jlo + tile, m)
-
-
-def evidence_sweep_blocks(specs: dict, blocks, counts: dict[int, int]) -> None:
-    """Fold an explicit run of blocks (a sweep morsel)."""
-    attrs = specs["attrs"]
-    mults = specs["mults"]
-    for ilo, ihi, jlo, jhi in blocks:
-        for i in range(ilo, ihi):
-            start = i + 1 if jlo <= i else jlo
-            for j in range(start, jhi):
-                forward, backward = _pair_masks(attrs, i, j)
-                weight = mults[i] * mults[j]
-                counts[forward] = counts.get(forward, 0) + weight
-                counts[backward] = counts.get(backward, 0) + weight
-
-
-def evidence_export(specs: dict) -> tuple[tuple, dict]:
-    """No arrays to ship: thread-pool workers share the spec object."""
-    return (), specs
-
-
-def evidence_restore(arrays, meta: dict) -> dict:
-    """Inverse of :func:`evidence_export` (identity for this backend)."""
-    return meta
+            jhi = min(jlo + tile, m)
+            for i in range(ilo, ihi):
+                start = i + 1 if jlo <= i else jlo
+                for j in range(start, jhi):
+                    forward, backward = _pair_masks(attrs, i, j)
+                    weight = mults[i] * mults[j]
+                    counts[forward] = counts.get(forward, 0) + weight
+                    counts[backward] = counts.get(backward, 0) + weight
 
 
 def evidence_pairs_into(

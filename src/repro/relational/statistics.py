@@ -45,7 +45,7 @@ from collections import OrderedDict
 from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING
 
-from . import kernels, parallel
+from . import kernels
 from .delta import GroupTracker
 from .partition import StrippedPartition
 
@@ -73,6 +73,14 @@ _partition_cache_limit: int | None = _DEFAULT_PARTITION_CACHE_LIMIT
 _tracker_limit: int | None = _DEFAULT_TRACKER_LIMIT
 
 
+def _validate_limit(name: str, value: object) -> None:
+    """Reject a cache bound that is not a positive ``int`` or ``None``."""
+    if value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer or None, got {value!r}")
+
+
 def configure_caches(
     partition_cache_size: int | None = _DEFAULT_PARTITION_CACHE_LIMIT,
     delta_track_limit: int | None = _DEFAULT_TRACKER_LIMIT,
@@ -84,10 +92,8 @@ def configure_caches(
     cached entries are trimmed lazily at the next insertion).
     """
     global _partition_cache_limit, _tracker_limit
-    if partition_cache_size is not None and partition_cache_size < 1:
-        raise ValueError("partition_cache_size must be >= 1 or None")
-    if delta_track_limit is not None and delta_track_limit < 1:
-        raise ValueError("delta_track_limit must be >= 1 or None")
+    _validate_limit("partition_cache_size", partition_cache_size)
+    _validate_limit("delta_track_limit", delta_track_limit)
     _partition_cache_limit = partition_cache_size
     _tracker_limit = delta_track_limit
 
@@ -100,34 +106,6 @@ def partition_cache_limit() -> int | None:
 def tracker_limit() -> int | None:
     """The active bound on delta trackers per relation."""
     return _tracker_limit
-
-
-def _build_chain(backend, code_columns):
-    """The sorted-prefix partition chain of one attribute set.
-
-    Pure function of the code columns — the reason serial and parallel
-    priming produce byte-identical partitions.
-    """
-    chain = []
-    current = backend.stripped_from_codes(code_columns[0])
-    chain.append(current)
-    for codes in code_columns[1:]:
-        current = current.refine(codes)
-        chain.append(current)
-    return chain
-
-
-def _prime_chain_local(arrays, payload, code_columns):
-    """Serial / thread-pool priming worker (shares in-process state)."""
-    return _build_chain(kernels.get_backend(), code_columns)
-
-
-def _prime_chain_shm(arrays, payload, slots):
-    """Process-pool priming worker: code columns arrive as shared-
-    memory views, partitions travel back by value (they are the
-    result, so this copy is the irreducible transfer)."""
-    backend = kernels.backend_module(payload)
-    return _build_chain(backend, [arrays[slot] for slot in slots])
 
 
 class RelationStatistics:
@@ -378,57 +356,6 @@ class RelationStatistics:
     def cached_partition(self, attrs: Sequence[str]) -> StrippedPartition | None:
         """The cached partition for ``attrs``, or ``None`` (never builds)."""
         return self._partition_cache.get(frozenset(attrs))
-
-    def prime_partitions(self, attr_sets: Sequence[Sequence[str]]) -> int:
-        """Batch-build missing stripped partitions, morsel-parallel.
-
-        Each requested set is built as its *sorted-name prefix chain*
-        from scratch (π_{a}, π_{ab}, …), independent of whatever the
-        cache happens to hold — that independence is what makes the
-        result a pure function of the relation, so the serial and
-        parallel modes install byte-identical partitions in the same
-        (request, prefix-depth) order.  Every missing prefix along a
-        chain is installed too, mirroring what the lazy builder would
-        cache on the way up; already-cached keys are never overwritten.
-        Returns the number of partitions installed.
-        """
-        jobs: list[tuple[str, ...]] = []
-        seen: set[frozenset[str]] = set()
-        for attrs in attr_sets:
-            key = frozenset(attrs)
-            if not key or key in seen or key in self._partition_cache:
-                continue
-            seen.add(key)
-            jobs.append(tuple(sorted(key)))
-        if not jobs:
-            return 0
-        kind = parallel.pool_kind()
-        if kind == "process":
-            arrays: list = []
-            slots: dict[str, int] = {}
-            for names in jobs:
-                for name in names:
-                    if name not in slots:
-                        slots[name] = len(arrays)
-                        arrays.append(self._codes(name))
-            chains = parallel.morsel_map(
-                _prime_chain_shm,
-                [tuple(slots[name] for name in names) for names in jobs],
-                arrays=arrays,
-                payload=kernels.active_backend_name(),
-            )
-        else:
-            columns = [[self._codes(name) for name in names] for names in jobs]
-            chains = parallel.morsel_map(_prime_chain_local, columns)
-        built = 0
-        for names, chain in zip(jobs, chains):
-            for depth, partition in enumerate(chain, start=1):
-                key = frozenset(names[:depth])
-                if key not in self._partition_cache:
-                    self._store_partition(key, partition)
-                    self._partitions_built += 1
-                    built += 1
-        return built
 
     # ------------------------------------------------------------------
     # The delta engine (incremental maintenance across extensions)

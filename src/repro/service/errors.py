@@ -7,10 +7,9 @@ to each differently:
   ``retry_after`` hint; the caller backs off and resubmits.  Rejection
   is a *feature*: the bounded queues refuse work instead of buffering
   unboundedly.
-* **transient faults** — :class:`TransientFault` (and
-  :class:`~repro.relational.errors.WorkerPoolError` from the parallel
-  layer) are retried in-service with exponential backoff; only when the
-  retry budget is exhausted does :class:`BatchFailed` escape.
+* **transient faults** — :class:`TransientFault` is retried in-service
+  with exponential backoff; only when the retry budget is exhausted does
+  :class:`BatchFailed` escape.
 * **corruption / protocol** — :class:`WalCorruptError` and friends are
   never retried; they indicate a bug or a damaged store and must
   surface loudly.

@@ -3,18 +3,17 @@
 Everything here is driven by :func:`repro.datagen.rng.child_rng` over a
 label path, never by wall clock or global randomness: the same
 :class:`FaultPlan` seed produces the same drops, duplicates, transient
-faults, worker crashes and kill points on every run — which is what
-lets the crash-recovery oracle demand *byte-identical* event streams.
+faults and kill points on every run — which is what lets the
+crash-recovery oracle demand *byte-identical* event streams.
 
 Two halves:
 
 * :class:`FaultInjector` plugs into :class:`MonitorService` (its
   ``faults=`` hook).  ``gate`` fires per apply group and decides —
   keyed by ``(tenant, first_seq, attempt)`` so retries re-roll — to
-  raise a :class:`~repro.service.errors.TransientFault`, simulate a
-  crashed pool worker (:class:`~repro.relational.errors.WorkerPoolError`),
-  or stall past the batch timeout.  ``point`` fires at durability
-  points (``accept.journaled``, ``apply.committed``, …) and raises
+  raise a :class:`~repro.service.errors.TransientFault` or stall past
+  the batch timeout.  ``point`` fires at durability points
+  (``accept.journaled``, ``apply.committed``, …) and raises
   :class:`~repro.service.errors.ServiceKilled` when the point matches
   an entry of ``kill_points``; each kill point fires once, so a
   restarted service makes progress.
@@ -32,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.datagen.rng import child_rng
-from repro.relational.errors import WorkerPoolError
 
 from .errors import Overloaded, ServiceKilled, TransientFault
 
@@ -52,7 +50,6 @@ class FaultPlan:
 
     seed: int = 0
     transient_rate: float = 0.0
-    worker_crash_rate: float = 0.0
     stall_rate: float = 0.0
     stall_seconds: float = 30.0
     drop_rate: float = 0.0
@@ -64,7 +61,6 @@ class FaultPlan:
     def __post_init__(self) -> None:
         for name in (
             "transient_rate",
-            "worker_crash_rate",
             "stall_rate",
             "drop_rate",
             "duplicate_rate",
@@ -102,13 +98,6 @@ class FaultInjector:
             raise TransientFault(
                 f"injected transient fault (tenant {tenant!r}, "
                 f"batches {first}..{last}, attempt {attempt})"
-            )
-        roll = rng.random()
-        if roll < self.plan.worker_crash_rate:
-            raise WorkerPoolError(
-                "process",
-                f"injected worker crash (tenant {tenant!r}, batch {first}, "
-                f"attempt {attempt})",
             )
         roll = rng.random()
         if roll < self.plan.stall_rate:

@@ -5,8 +5,7 @@ schema, a scoped FD watch list, and a priority; all tenants multiplex
 over the shared engine machinery (one
 :class:`~repro.relational.delta.DeltaStream`-backed
 :class:`~repro.core.monitor.FDMonitor` per tenant, one process-wide
-kernel backend / morsel pool configured by
-:class:`~repro.core.config.EngineConfig`).
+kernel backend configured by :class:`~repro.core.config.EngineConfig`).
 
 The batch lifecycle — and where each guarantee comes from:
 
@@ -23,10 +22,10 @@ The batch lifecycle — and where each guarantee comes from:
 2. **apply** — the tenant's worker drains its queue, coalescing up to
    ``coalesce_max_batches`` under one gate when it has fallen behind.
    The *gate* (fault hook + per-batch timeout) is the only awaitable,
-   retryable phase; transient faults, worker-pool failures and
-   timeouts retry with exponential backoff.  The fold itself is
-   synchronous and per-client-batch, so retries never double-count and
-   coalescing never changes the event stream.
+   retryable phase; transient faults and timeouts retry with
+   exponential backoff.  The fold itself is synchronous and
+   per-client-batch, so retries never double-count and coalescing never
+   changes the event stream.
 3. **events** — alerts (and periodic drift verdicts) derived from a
    batch are journaled in an ``applied`` record and committed *before*
    live emission.  Recovery re-derives events for accepted batches,
@@ -49,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,7 +57,6 @@ from typing import Any, Callable
 from repro.core.config import EngineConfig
 from repro.core.monitor import FDMonitor
 from repro.fd.fd import FunctionalDependency
-from repro.relational.errors import WorkerPoolError
 from repro.relational.schema import RelationSchema
 from repro.temporal.bridge import classify_monitor_state
 
@@ -187,7 +186,6 @@ class ServiceConfig:
     retain_segments: bool = False
     keep_checkpoints: int = 2
     engine: EngineConfig | None = None
-    morsel_timeout: float | None = None
 
     def __post_init__(self) -> None:
         for name in (
@@ -203,14 +201,23 @@ class ServiceConfig:
                 raise ValueError(
                     f"{name} must be a positive integer, got {value!r}"
                 )
-        if not isinstance(self.max_retries, int) or self.max_retries < 0:
+        if (
+            isinstance(self.max_retries, bool)
+            or not isinstance(self.max_retries, int)
+            or self.max_retries < 0
+        ):
             raise ValueError(
                 f"max_retries must be a non-negative integer, "
                 f"got {self.max_retries!r}"
             )
         for name in ("retry_base_delay", "batch_timeout", "retry_after_hint"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or value <= 0:
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+                or value <= 0
+            ):
                 raise ValueError(
                     f"{name} must be a positive number, got {value!r}"
                 )
@@ -237,14 +244,6 @@ class ServiceConfig:
             )
         if self.sync not in ("batch", "none"):
             raise ValueError(f"sync must be 'batch' or 'none', got {self.sync!r}")
-        if self.morsel_timeout is not None and (
-            not isinstance(self.morsel_timeout, (int, float))
-            or self.morsel_timeout <= 0
-        ):
-            raise ValueError(
-                f"morsel_timeout must be a positive number or None, "
-                f"got {self.morsel_timeout!r}"
-            )
 
 
 # ----------------------------------------------------------------------
@@ -314,10 +313,6 @@ class MonitorService:
             raise ServiceError(f"cannot start a {self._state} service")
         if self.config.engine is not None:
             self.config.engine.activate()
-        if self.config.morsel_timeout is not None:
-            from repro.relational import parallel
-
-            parallel.set_morsel_timeout(self.config.morsel_timeout)
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self._state = "running"
         for path in sorted(self.state_dir.iterdir()):
@@ -596,7 +591,7 @@ class MonitorService:
                     timeout=self.config.batch_timeout,
                 )
                 return
-            except (TransientFault, WorkerPoolError, asyncio.TimeoutError, TimeoutError):
+            except (TransientFault, asyncio.TimeoutError, TimeoutError):
                 if attempts > self.config.max_retries:
                     raise BatchFailed(
                         tenant.tenant_id, first, last, attempts

@@ -2,16 +2,15 @@
 
 ``connect(catalog)`` (or ``Database(catalog)``) is the front door of
 the SQL layer: one object that runs the whole parse → plan → execute
-pipeline and pins per-call engine and worker settings::
+pipeline and pins per-call engine and optimizer settings::
 
     db = connect(catalog)
     result = db.query("SELECT City, COUNT(*) FROM Places GROUP BY City")
     print(result.to_csv())
 
 The facade adds no semantics of its own — :meth:`Database.query` is
-``execute`` plus a scoped :func:`repro.relational.parallel.use_workers`
-— so everything the property suite proves about the engines holds here
-too.
+``execute`` — so everything the property suite proves about the engines
+holds here too.
 
 Chunked stores attach through a per-database **store cache**:
 :meth:`Database.attach_store` (and :meth:`Database.query_store`) keep
@@ -27,7 +26,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
-from repro.relational import parallel
 from repro.relational.catalog import Catalog
 from repro.relational.relation import Relation
 
@@ -130,7 +128,6 @@ class Database:
         self,
         sql: str,
         engine: str = "columnar",
-        workers: int | None = None,
         scan_stats=None,
     ) -> ResultSet:
         """Run one single-table statement straight off its attached store.
@@ -149,7 +146,6 @@ class Database:
             self.store(query.table),
             sql,
             engine=engine,
-            workers=workers,
             scan_stats=scan_stats,
         )
 
@@ -160,25 +156,19 @@ class Database:
         self,
         sql: str,
         engine: str = "columnar",
-        workers: int | None = None,
         optimize: str | None = None,
     ) -> ResultSet:
         """Run one SQL statement and return its :class:`ResultSet`.
 
-        ``workers`` scopes the parallel morsel count for this call only
-        (``None`` keeps the process-wide setting); ``optimize``
-        (``"on"``/``"off"``) likewise scopes the query optimizer.
+        ``optimize`` (``"on"``/``"off"``) scopes the query optimizer for
+        this call only (``None`` keeps the process-wide setting).
         """
-        if workers is None:
-            return execute(self.catalog, sql, engine, optimize=optimize)
-        with parallel.use_workers(workers):
-            return execute(self.catalog, sql, engine, optimize=optimize)
+        return execute(self.catalog, sql, engine, optimize=optimize)
 
     def query_plan(
         self,
         plan: "Plan | str",
         engine: str = "columnar",
-        workers: int | None = None,
         optimized: bool = True,
     ) -> "ResultSet | Plan":
         """Plans and executes, depending on the argument.
@@ -197,10 +187,7 @@ class Database:
             if not optimized:
                 return built
             return optimize_plan(built, StatisticsProvider(catalog=self.catalog))
-        if workers is None:
-            return execute_plan(self.catalog, plan, engine)
-        with parallel.use_workers(workers):
-            return execute_plan(self.catalog, plan, engine)
+        return execute_plan(self.catalog, plan, engine)
 
     def explain(self, sql: str) -> str:
         """The optimized plan for ``sql``, as text, with scan effects.

@@ -10,7 +10,7 @@ requested columns).  Peak memory is one chunk plus the result, so a
 selective query over an SF-1 table runs in a fraction of the table's
 footprint.
 
-Two physical optimizations ride the walk:
+One physical optimization rides the walk:
 
 * **Zone-map chunk skipping** (format-v2 stores, gated on the PR-10
   ``optimize`` knob): a chunk is skipped entirely when one WHERE
@@ -22,14 +22,8 @@ Two physical optimizations ride the walk:
   could *raise* on the chunk (incomparable order comparison,
   arithmetic), because the columnar evaluator's short-circuit
   reachability would surface that error even on an all-false chunk
-  prefix — so a skip happens only where the serial scan provably
+  prefix — so a skip happens only where the full scan provably
   returns nothing and raises nothing.
-* **Morsel fan-out**: when a worker pool is active (PR 6), the
-  surviving chunks are mapped across it and the per-chunk survivor rows
-  concatenated in chunk order — byte-identical to the serial walk.  The
-  fan-out engages only when every conjunct is provably raise-free on
-  every surviving chunk (pool error ordering is nondeterministic) and
-  no LIMIT is in play (the serial walk stops early).
 
 :func:`query_store` is the one-call form: parse the statement, push its
 WHERE *and* its projection down through the chunked scan — only the
@@ -48,7 +42,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.relational import expr as ir
-from repro.relational import kernels, parallel
 from repro.relational.relation import Relation
 from repro.sql import ast
 from repro.sql.errors import SqlExecutionError
@@ -57,7 +50,7 @@ from repro.sql.optimize import active_optimize
 from repro.sql.parser import parse
 
 from .format import ChunkZone
-from .reader import StoredRelation, open_store
+from .reader import StoredRelation
 
 __all__ = [
     "ScanStats",
@@ -347,44 +340,6 @@ def _chunk_refuted(
     return False
 
 
-# ----------------------------------------------------------------------
-# Parallel chunk scan
-# ----------------------------------------------------------------------
-#: Stores opened inside pool workers, keyed by directory.  Seeded with
-#: the caller's open store before dispatch, so thread-pool workers (and
-#: fork-started process workers) reuse its mmaps and remap caches;
-#: spawn-started workers open their own copy once and keep it.
-_WORKER_STORES: dict[str, StoredRelation] = {}
-
-
-def _scan_chunk_rows(arrays, payload, chunk: int) -> list[tuple[Any, ...]]:
-    """Morsel worker: filter one chunk, return its surviving row tuples.
-
-    Dispatched only for chunks where every conjunct is provably
-    raise-free, so error ordering is moot.  The mask runs through the
-    serial columnar walk directly — workers must not re-enter the pool.
-    """
-    directory, scan_names, predicate, keep = payload
-    store = _WORKER_STORES.get(directory)
-    if store is None:
-        store = open_store(directory)
-        _WORKER_STORES[directory] = store
-    relation = store.chunk_relation(chunk, scan_names)
-    if predicate is None:
-        return [tuple(row[i] for i in keep) for row in relation.rows()]
-    backend = kernels.get_backend()
-    truth, error = ir._mask(relation, predicate, backend)
-    if error is not None and backend.mask_any(error):  # pragma: no cover
-        row = backend.filter_mask(error)[0]
-        ir._raise_for_row(relation, predicate, int(row))
-    names = relation.schema.attribute_names
-    columns = [relation.column(names[i]) for i in keep]
-    return [
-        tuple(column.value(int(index)) for column in columns)
-        for index in backend.filter_mask(truth)
-    ]
-
-
 def scan_store(
     store: StoredRelation,
     where: "str | ir.Predicate | None" = None,
@@ -399,8 +354,7 @@ def scan_store(
     columns are read regardless but not kept); ``limit`` stops the walk
     as soon as enough rows survive; ``stats`` receives the zone-map
     skip counters.  Chunks whose zone map refutes a WHERE conjunct are
-    skipped without being read (``optimize`` knob on, format-v2 store);
-    the surviving chunks fan across the morsel pool when one is active.
+    skipped without being read (``optimize`` knob on, format-v2 store).
     The result is an ordinary in-memory :class:`Relation` carrying the
     store's schema (projected), ready for any engine.
     """
@@ -435,39 +389,15 @@ def scan_store(
     conjuncts = [] if predicate is None else _split_conjuncts(predicate)
     skipping = predicate is not None and active_optimize() == "on"
     surviving: list[int] = []
-    raise_free = True  # every conjunct provably error-free on survivors
     for chunk in range(store.num_chunks):
-        zone_of = _zone_lookup(store, chunk)
-        chunk_rows = store.manifest.chunk_sizes[chunk]
-        if skipping and _chunk_refuted(conjuncts, zone_of, chunk_rows):
+        if skipping and _chunk_refuted(
+            conjuncts, _zone_lookup(store, chunk), store.manifest.chunk_sizes[chunk]
+        ):
             continue
         surviving.append(chunk)
-        if raise_free:
-            raise_free = not any(
-                _may_raise_on_chunk(conjunct, zone_of, chunk_rows)
-                for conjunct in conjuncts
-            )
     if stats is not None:
         stats.chunks_total = store.num_chunks
         stats.chunks_skipped = store.num_chunks - len(surviving)
-    pool = parallel.pool_kind()
-    fan_out = (
-        limit is None
-        and len(surviving) > 1
-        and raise_free
-        and pool != "serial"
-        and (pool != "process" or parallel.picklable(predicate))
-    )
-    if fan_out:
-        directory = str(store.directory)
-        _WORKER_STORES[directory] = store
-        parts = parallel.morsel_map(
-            _scan_chunk_rows,
-            surviving,
-            payload=(directory, scan_names, predicate, keep),
-        )
-        rows = [row for part in parts for row in part]
-        return Relation.from_rows(out_schema, rows, validate=False)
     rows: list[tuple[Any, ...]] = []
     for chunk in surviving:
         if limit is not None and len(rows) >= limit:
@@ -517,7 +447,6 @@ def query_store(
     store: StoredRelation,
     sql: str,
     engine: str = "columnar",
-    workers: int | None = None,
     scan_stats: ScanStats | None = None,
 ) -> ResultSet:
     """Run one SQL statement against a store, WHERE pushed down.
@@ -554,9 +483,5 @@ def query_store(
             for name in store.schema.attribute_names
             if name in referenced
         ) or store.schema.attribute_names[:1]
-    if workers is None:
-        scan = scan_store(store, where=predicate, columns=columns, stats=scan_stats)
-        return execute_on_relation(scan, sql, engine)
-    with parallel.use_workers(workers):
-        scan = scan_store(store, where=predicate, columns=columns, stats=scan_stats)
-        return execute_on_relation(scan, sql, engine)
+    scan = scan_store(store, where=predicate, columns=columns, stats=scan_stats)
+    return execute_on_relation(scan, sql, engine)

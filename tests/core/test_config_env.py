@@ -1,8 +1,9 @@
 """Env-knob hardening (PR 8): a typo in ``REPRO_BACKEND`` /
-``REPRO_DC_TILE`` / ``REPRO_WORKERS`` must raise the *same* clear
-message as the :class:`EngineConfig` constructor — plus the variable it
-came from — both through :meth:`EngineConfig.from_env` and through each
-knob's lazy resolution path."""
+``REPRO_DC_TILE`` must raise the *same* clear message as the
+:class:`EngineConfig` constructor — plus the variable it came from —
+both through :meth:`EngineConfig.from_env` and through each knob's lazy
+resolution path.  The cache bounds, which have no environment variable,
+are validated by the constructor the same way ``dc_tile`` is."""
 
 from __future__ import annotations
 
@@ -10,13 +11,13 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.dc import engine as dc_engine
-from repro.relational import kernels, parallel
+from repro.relational import kernels
 from repro.relational.errors import KernelBackendError
 
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for var in ("REPRO_BACKEND", "REPRO_DC_TILE", "REPRO_WORKERS"):
+    for var in ("REPRO_BACKEND", "REPRO_DC_TILE"):
         monkeypatch.delenv(var, raising=False)
     yield
 
@@ -29,11 +30,9 @@ class TestFromEnvDefaults:
     def test_valid_values_parse(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "python")
         monkeypatch.setenv("REPRO_DC_TILE", "512")
-        monkeypatch.setenv("REPRO_WORKERS", "3")
         config = EngineConfig.from_env()
         assert config.backend == "python"
         assert config.dc_tile == 512
-        assert config.workers == 3
 
 
 class TestBackendKnob:
@@ -83,24 +82,13 @@ class TestDcTileKnob:
         assert "$REPRO_DC_TILE" in str(excinfo.value)
 
 
-class TestWorkersKnob:
-    CONSTRUCTOR_MESSAGE = "workers must be a non-negative integer, got"
-
-    def test_constructor_message(self):
-        with pytest.raises(ValueError, match=self.CONSTRUCTOR_MESSAGE):
-            EngineConfig(workers=-1)
-
-    @pytest.mark.parametrize("bad", ["many", "-2", "1.5"])
-    def test_from_env_matches_constructor_message(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_WORKERS", bad)
+class TestCacheBounds:
+    @pytest.mark.parametrize("field", ["partition_cache_size", "delta_track_limit"])
+    @pytest.mark.parametrize("bad", [True, False, 2.5, "8", 0, -3])
+    def test_constructor_rejects_non_positive_int(self, field, bad):
         with pytest.raises(ValueError) as excinfo:
-            EngineConfig.from_env()
-        assert self.CONSTRUCTOR_MESSAGE in str(excinfo.value)
-        assert "$REPRO_WORKERS" in str(excinfo.value)
+            EngineConfig(**{field: bad})
+        message = str(excinfo.value)
+        assert f"{field} must be a positive integer or None, got" in message
+        assert repr(bad) in message
 
-    def test_resolution_path_matches_too(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "many")
-        with pytest.raises(ValueError) as excinfo:
-            parallel.effective_workers()
-        assert self.CONSTRUCTOR_MESSAGE in str(excinfo.value)
-        assert "$REPRO_WORKERS" in str(excinfo.value)

@@ -183,6 +183,69 @@ def test_error_equivalence_with_short_circuit(backend, relation, predicate):
     assert columnar == oracle
 
 
+float_values = st.one_of(st.integers(0, 3).map(float), st.none(), st.just(float("nan")))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(st.tuples(float_values, float_values), max_size=40),
+    shape=st.integers(0, 11),
+)
+def test_float_masks_with_null_and_nan_match_scalar_oracle(backend, values, shape):
+    """NULL and NaN in float columns: every mask path (code-space
+    equality, IN, dictionary truth tables, column-pair remaps, NOT)
+    keeps exactly the rows the scalar oracle keeps."""
+    relation = Relation.from_columns(
+        "f", {"A0": [a for a, _ in values], "A1": [b for _, b in values]}
+    )
+    a0, a1 = expr.col("A0"), expr.col("A1")
+    predicate = [
+        expr.eq(a0, 1.0),
+        expr.ne(a0, 2.0),
+        expr.lt(a0, 2.0),
+        expr.in_(a0, [0.0, 3.0, None]),
+        expr.is_null(a0),
+        expr.is_null(a0, negated=True),
+        expr.not_(expr.eq(a0, 0.0)),
+        expr.eq(a0, a0),
+        expr.eq(a0, a1),
+        expr.ne(a0, a1),
+        expr.and_(expr.gt(a0, 0.0), expr.lt(a1, 3.0)),
+        expr.or_(expr.is_null(a1), expr.eq(a0, 2.0)),
+    ][shape]
+    with kernels.use_backend(backend):
+        columnar = list(expr.filter_rows(relation, predicate))
+    assert columnar == oracle_rows(relation, predicate)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=40, deadline=None)
+@given(values=st.lists(st.integers(0, 3).map(float), max_size=40))
+def test_mixed_type_error_rows_match_scalar_oracle(backend, values):
+    """A column mixing floats and strings errors on its string rows
+    only: order comparisons raise the oracle's message iff an erroring
+    row is reachable, and an unknown column raises iff any row is
+    evaluated."""
+    mixed = Relation.from_columns(
+        "mixed",
+        {"M": ["mix" if v == 3.0 else v for v in values], "G": values},
+    )
+    m, g = expr.col("M"), expr.col("G")
+    cases = [
+        expr.lt(m, 2.0),
+        expr.and_(expr.eq(g, 999.0), expr.lt(m, 2.0)),  # unreachable error
+        expr.or_(expr.lt(m, 2.0), expr.eq(g, 0.0)),
+        expr.or_(expr.eq(g, 3.0), expr.lt(m, 2.0)),  # skips exactly the 'mix' rows
+        expr.eq(expr.col("nope"), 1.0),  # unknown column
+    ]
+    with kernels.use_backend(backend):
+        for predicate in cases:
+            columnar = outcome(lambda: list(expr.filter_rows(mixed, predicate)))
+            oracle = outcome(lambda: oracle_rows(mixed, predicate))
+            assert columnar == oracle
+
+
 # ----------------------------------------------------------------------
 # join: code-space kernel vs row-at-a-time reference
 # ----------------------------------------------------------------------

@@ -6,7 +6,6 @@ import asyncio
 
 import pytest
 
-from repro.relational.errors import WorkerPoolError
 from repro.service import (
     FaultInjector,
     FaultPlan,
@@ -55,16 +54,14 @@ class TestFaultInjector:
                 outcomes.append("ok")
             except TransientFault:
                 outcomes.append("transient")
-            except WorkerPoolError:
-                outcomes.append("pool")
         return outcomes
 
     def test_gate_decisions_are_seed_deterministic(self):
-        plan = FaultPlan(seed=5, transient_rate=0.3, worker_crash_rate=0.2)
+        plan = FaultPlan(seed=5, transient_rate=0.3)
         first = self.gates(plan)
         second = self.gates(plan)
         assert first == second
-        assert "transient" in first and "pool" in first and "ok" in first
+        assert "transient" in first and "ok" in first
         assert self.gates(FaultPlan(seed=6, transient_rate=0.3)) != first
 
     def test_retries_reroll_the_dice(self):

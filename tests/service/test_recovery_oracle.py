@@ -3,9 +3,9 @@ produces a durable event stream *byte-identical* to an uninterrupted
 run's — alerts neither lost nor duplicated — on both kernel backends.
 
 The faulted run suffers, on a fixed seed: dropped/duplicated/held
-client batches, injected transient faults and worker-pool crashes in
-the gate (retried with backoff), and hard kills at accept-, apply- and
-checkpoint-side durability points.  After every kill the driver starts
+client batches, injected transient faults in the gate (retried with
+backoff), and hard kills at accept-, apply- and checkpoint-side
+durability points.  After every kill the test loop starts
 a fresh service incarnation on the same state directory, the client
 resubmits everything unacknowledged, and the stream converges.
 """
@@ -36,7 +36,6 @@ LOAD = LoadSpec(
 PLAN = FaultPlan(
     seed=13,
     transient_rate=0.15,
-    worker_crash_rate=0.1,
     drop_rate=0.1,
     duplicate_rate=0.15,
     hold_rate=0.1,

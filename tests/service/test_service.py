@@ -451,8 +451,17 @@ class TestConfigValidation:
             )
         with pytest.raises(ValueError, match="sync must be 'batch' or 'none'"):
             ServiceConfig(state_dir=tmp_path, sync="maybe")
-        with pytest.raises(ValueError, match="morsel_timeout must be a positive"):
-            ServiceConfig(state_dir=tmp_path, morsel_timeout=-1)
+        for name in ("batch_timeout", "retry_base_delay", "retry_after_hint"):
+            for bad in (float("nan"), float("inf"), True):
+                with pytest.raises(
+                    ValueError, match=f"{name} must be a positive number, got"
+                ):
+                    ServiceConfig(state_dir=tmp_path, **{name: bad})
+        for bad in (True, -1, 1.5):
+            with pytest.raises(
+                ValueError, match="max_retries must be a non-negative integer"
+            ):
+                ServiceConfig(state_dir=tmp_path, max_retries=bad)
 
     def test_tenant_spec_validates_id(self):
         with pytest.raises(ValueError, match="tenant_id"):

@@ -5,10 +5,9 @@ Random :class:`~repro.sql.ast.SelectQuery` trees — WHERE expressions
 with DISTINCT/LIMIT/OFFSET, aggregates (COUNT/SUM/MIN/MAX/AVG), GROUP
 BY + HAVING, ORDER BY, and inner/left joins — must produce *identical*
 result sets (column labels, row values, row order) on the ``columnar``
-and ``rowdict`` engines, on every installed kernel backend, serial and
-under ``REPRO_WORKERS`` parallelism.  The ``rowdict`` engine is the
-original tree-walking interpreter, retained precisely to serve as this
-oracle.
+and ``rowdict`` engines, on every installed kernel backend.  The
+``rowdict`` engine is the original tree-walking interpreter, retained
+precisely to serve as this oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.relational import kernels, parallel
+from repro.relational import kernels
 from repro.relational.catalog import Catalog
 from repro.relational.relation import Relation
 from repro.sql import ast
@@ -301,24 +300,6 @@ def ast_to_result(query):
     from repro.sql.plan import plan_query, to_sql
 
     return to_sql(plan_query(query))
-
-
-@settings(max_examples=60, deadline=None)
-@given(relation=relations(max_rows=10), query=queries())
-def test_columnar_equals_rowdict_parallel(relation, query):
-    """The oracle must hold under REPRO_WORKERS-style parallelism too."""
-    from repro.relational import expr
-
-    saved = expr._PARALLEL_ROW_FLOOR
-    expr._PARALLEL_ROW_FLOOR = 2  # force the chunked mask path
-    try:
-        with parallel.use_workers(4):
-            columnar = _run(relation, query, engine="columnar")
-            oracle = _run(relation, query, engine="rowdict")
-    finally:
-        expr._PARALLEL_ROW_FLOOR = saved
-    assert columnar.columns == oracle.columns
-    assert columnar.rows == oracle.rows
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

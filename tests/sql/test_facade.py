@@ -54,10 +54,6 @@ class TestDatabase:
         sql = "SELECT city, COUNT(*) FROM people GROUP BY city ORDER BY city"
         assert db.query(sql) == db.query(sql, engine="rowdict")
 
-    def test_query_with_workers(self, db):
-        result = db.query("SELECT COUNT(*) FROM people", workers=2)
-        assert result.scalar == 3
-
     def test_query_plan(self, db):
         plan = plan_query(parse("SELECT name FROM people LIMIT 1"))
         result = db.query_plan(plan)

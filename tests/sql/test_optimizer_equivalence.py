@@ -3,7 +3,7 @@
 ``optimize_plan`` (predicate pushdown, projection pruning, constant
 folding, join reordering) and the zone-map scan skips are rewrites of
 the *physical* work only — for every random query tree, every backend,
-both engines, serial and parallel, the optimized execution must produce
+both engines, the optimized execution must produce
 byte-identical results **and byte-identical error messages** to the
 unoptimized oracle path (``optimize="off"`` / ``REPRO_OPTIMIZE=off``).
 """
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.relational import kernels, parallel
+from repro.relational import kernels
 from repro.relational.catalog import Catalog
 from repro.relational.errors import ReproError
 from repro.relational.relation import Relation
@@ -123,27 +123,6 @@ def test_join_equivalence(backend, relations_pair, query, engine):
     with kernels.use_backend(backend):
         optimized = _outcome(lambda: execute(catalog, sql, engine, optimize="on"))
         oracle = _outcome(lambda: execute(catalog, sql, engine, optimize="off"))
-    assert optimized == oracle
-
-
-@settings(max_examples=50, deadline=None)
-@given(relation=relations(max_rows=10), query=queries())
-def test_parallel_equivalence(relation, query):
-    """Equivalence holds under REPRO_WORKERS-style parallelism too."""
-    from repro.relational import expr
-
-    saved = expr._PARALLEL_ROW_FLOOR
-    expr._PARALLEL_ROW_FLOOR = 2  # force the chunked mask path
-    try:
-        with parallel.use_workers(4):
-            optimized = _outcome(
-                lambda: _run(relation, query, "columnar", optimize="on")
-            )
-            oracle = _outcome(
-                lambda: _run(relation, query, "columnar", optimize="off")
-            )
-    finally:
-        expr._PARALLEL_ROW_FLOOR = saved
     assert optimized == oracle
 
 

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.relational import kernels, parallel
+from repro.relational import kernels
 from repro.relational.errors import ReproError
 from repro.relational.relation import Relation
 from repro.sql.database import Database
@@ -179,15 +179,6 @@ class TestSkipping:
             scan = scan_store(store, where="a IS NULL", stats=stats)
         assert scan.num_rows == 0
         assert stats.chunks_skipped == 10  # null_count == 0 everywhere
-
-    def test_parallel_fan_out_matches_serial(self, backend, store):
-        where = "a >= 150 AND a < 450"
-        with kernels.use_backend(backend):
-            serial = scan_store(store, where=where)
-            with parallel.use_workers(4):
-                fanned = scan_store(store, where=where)
-        assert list(fanned.rows()) == list(serial.rows())
-        assert fanned.attribute_names == serial.attribute_names
 
     def test_count_skippable_chunks_matches_scan(self, backend, store):
         with kernels.use_backend(backend):
