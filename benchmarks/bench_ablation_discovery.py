@@ -14,19 +14,14 @@ surface extensions of the declared FD.  Asserts:
 * CB finds a repair on every workload, while discovery's minimal-FD
   output does not always contain an extension of the declared FD.
 
-The second study is the PR-1 partition-engine ablation: the stripped-
-partition lattice engine vs the plain distinct-count engine it
-replaced, on TPC-H (default ``small`` preset) and the Veterans case
-study (module defaults).  Asserts identical output, an aggregate
-end-to-end speedup of ≥ 3×, and no pathological per-workload
-regression.  Results are recorded in ``docs/BENCHMARKS.md``.
+Results are recorded in ``docs/BENCHMARKS.md``.
 """
 
 from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench.experiments.ablation import discovery_rows, stripped_engine_rows
+from repro.bench.experiments.ablation import discovery_rows
 from repro.bench.tables import render_rows
 
 
@@ -55,28 +50,3 @@ def test_repair_vs_discovery(benchmark, show):
     for row in rows:
         assert row["candidates_tested"] > 50, row["workload"]
 
-
-def test_stripped_vs_plain_engine(benchmark, show):
-    rows = run_once(benchmark, stripped_engine_rows)
-    show(render_rows(rows, title="Ablation: stripped-partition vs plain discovery"))
-
-    # Both engines must mine the identical minimal FDs and confidences.
-    assert all(row["identical"] for row in rows)
-
-    total_stripped = sum(row["stripped_seconds"] for row in rows)
-    total_plain = sum(row["plain_seconds"] for row in rows)
-    aggregate = total_plain / total_stripped
-    show(f"aggregate end-to-end speedup: {aggregate:.2f}x")
-
-    # The PR-1 target: ≥ 3× end-to-end at default sizes.  The veterans
-    # case study (wide, FD-rich — the shape the paper's discovery
-    # discussion is about) must clear 3× on its own.
-    assert aggregate >= 3.0
-    veterans = next(row for row in rows if row["workload"] == "veterans")
-    assert veterans["speedup"] >= 3.0
-
-    # The stripped engine must never lose badly, even on lineitem's
-    # all-low-cardinality pool where partitions cannot shrink.
-    for row in rows:
-        if row["plain_seconds"] > 0.05:  # below that, timing is noise
-            assert row["speedup"] >= 0.5, row["workload"]

@@ -38,6 +38,7 @@ from repro.bench.tables import render_rows
 from repro.dc.engine import build_evidence_tiled, discover_dcs
 from repro.dc.evidence import build_evidence_set
 from repro.dc.predicates import build_predicate_space
+from repro.dc.search import mine_denial_constraints
 from repro.relational import kernels
 from repro.relational.relation import Relation
 
@@ -152,12 +153,13 @@ def _run_ablation(bench_results, backend_label: str, sizes):
     disco = _numeric_relation("disco", discover_rows, 4, (200, 50, 8, 4), seed=5)
     disco_space = build_predicate_space(disco, order_predicates=False)
     ref_s, reference = _time(
-        lambda: discover_dcs(disco, disco_space, engine="reference", max_size=3),
+        lambda: mine_denial_constraints(
+            build_evidence_set(disco, disco_space), max_size=3
+        ),
         repeat=2,
     )
     tiled_s, tiled = _time(
-        lambda: discover_dcs(disco, disco_space, engine="tiled", max_size=3),
-        repeat=2,
+        lambda: discover_dcs(disco, disco_space, max_size=3), repeat=2
     )
     assert set(tiled.constraints) == set(reference.constraints)
     record("discover end-to-end", ref_s, tiled_s, disco.num_rows)

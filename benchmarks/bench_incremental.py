@@ -171,7 +171,7 @@ def _run_drift(backend: str) -> dict:
 
     with kernels.use_backend(backend):
         start = time.perf_counter()
-        monitor = FDMonitor(schema, default_threshold=0.8, engine="delta")
+        monitor = FDMonitor(schema, default_threshold=0.8)
         states = [monitor.watch(dependency) for dependency in watched]
         delta_readings = []
         for batch_start in range(0, len(rows), _DRIFT_STEP):

@@ -47,8 +47,8 @@ def test_optimizer_plan_workload(benchmark, show, bench_results):
 
     # Correctness first: the oracle must agree on every stream member.
     for query in queries:
-        optimized = execute(catalog, query.sql, engine="columnar", optimize="on")
-        oracle = execute(catalog, query.sql, engine="columnar", optimize="off")
+        optimized = execute(catalog, query.sql, optimize="on")
+        oracle = execute(catalog, query.sql, optimize="off")
         assert optimized.columns == oracle.columns, query.name
         assert optimized.rows == oracle.rows, query.name
 
@@ -56,7 +56,7 @@ def test_optimizer_plan_workload(benchmark, show, bench_results):
         total = 0.0
         for query in queries:
             start = time.perf_counter()
-            execute(catalog, query.sql, engine="columnar", optimize=optimize)
+            execute(catalog, query.sql, optimize=optimize)
             total += time.perf_counter() - start
         return total
 

@@ -1,18 +1,14 @@
-"""Ablation: the parse → plan → execute SQL surface on a generated
-TPC-H workload (PR 7).
+"""The parse → plan → execute SQL surface on a generated TPC-H
+workload (PR 7).
 
-Two measurements over the same seeded query stream
+**Advisor evaluation** over a seeded query stream
 (:func:`repro.datagen.queries.generate_workload` — point lookups,
-FD fetches, GROUP BY aggregates, joins, top-k, range counts):
-
-* **engine ablation** — every query through the columnar executor and
-  through the row-dict oracle, results cross-checked query by query.
-  The acceptance bar asserts the columnar engine is no slower in
-  aggregate (≥ the oracle on CI smoke sizes; the real margin shows at
-  default sizes).
-* **advisor evaluation** — the same stream with and without
-  FD-derived indexes (:func:`repro.advisor.evaluate_workload`),
-  recording *measured* before/after times per query, not estimates.
+FD fetches, GROUP BY aggregates, joins, top-k, range counts): every
+query with and without FD-derived indexes
+(:func:`repro.advisor.evaluate_workload`), recording *measured*
+before/after times per query, not estimates.  The stream's results are
+checked against the row-dict oracle by
+``tests/datagen/test_queries.py``.
 
 Totals land in ``docs/BENCHMARKS.md`` and, machine-readably, in
 ``BENCH_results.json`` via the session fixture.
@@ -21,15 +17,12 @@ Totals land in ``docs/BENCHMARKS.md`` and, machine-readably, in
 from __future__ import annotations
 
 import os
-import time
 
 from conftest import run_once
 
 from repro.advisor import evaluate_workload
-from repro.bench.tables import render_rows
 from repro.datagen import generate_tpch, generate_workload
 from repro.relational import kernels
-from repro.sql import execute
 
 _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -42,57 +35,6 @@ def _workload():
     catalog = generate_tpch(_SCALE, seed=7)
     queries = generate_workload(catalog, count=_COUNT, seed=_SEED)
     return catalog, queries
-
-
-def _time_engine(catalog, queries, engine: str) -> float:
-    total = 0.0
-    for query in queries:
-        start = time.perf_counter()
-        execute(catalog, query.sql, engine=engine)
-        total += time.perf_counter() - start
-    return total
-
-
-def test_sql_engine_ablation(benchmark, show, bench_results):
-    catalog, queries = _workload()
-
-    # Correctness first: the oracle must agree on every stream member.
-    for query in queries:
-        columnar = execute(catalog, query.sql, engine="columnar")
-        rowdict = execute(catalog, query.sql, engine="rowdict")
-        assert columnar.columns == rowdict.columns, query.name
-        assert columnar.rows == rowdict.rows, query.name
-
-    def measure():
-        return {
-            "columnar": _time_engine(catalog, queries, "columnar"),
-            "rowdict": _time_engine(catalog, queries, "rowdict"),
-        }
-
-    totals = run_once(benchmark, measure)
-    backend = kernels.active_backend_name()
-    rows = [
-        {
-            "engine": engine,
-            "queries": len(queries),
-            "seconds": round(seconds, 4),
-        }
-        for engine, seconds in totals.items()
-    ]
-    show(render_rows(rows, title=f"SQL workload: columnar vs rowdict ({_SCALE})"))
-    for engine, seconds in totals.items():
-        bench_results.record(
-            f"sql_workload_{engine}",
-            seconds,
-            size=len(queries),
-            backend=backend,
-            scale=_SCALE,
-        )
-
-    assert totals["columnar"] <= totals["rowdict"], (
-        "columnar engine slower than the row-dict oracle on the workload: "
-        f"{totals['columnar']:.4f}s vs {totals['rowdict']:.4f}s"
-    )
 
 
 def test_sql_advisor_workload(benchmark, show, bench_results):

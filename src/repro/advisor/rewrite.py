@@ -26,7 +26,7 @@ from repro.fd.fd import FunctionalDependency
 from repro.fd.measures import assess
 from repro.relational.errors import ReproError
 from repro.sql.ast import And, ColumnRef, Comparison, Literal, SelectQuery
-from repro.sql.executor import ResultSet, _run
+from repro.sql.executor import ResultSet, execute_on_relation
 from repro.sql.parser import parse
 
 from .index import IndexedRelation
@@ -122,13 +122,13 @@ def execute_indexed(
     access = plan_access(indexed, query)
     relation = indexed.relation
     if access.rows is None:
-        result = _run(relation, query)
+        result = execute_on_relation(relation, sql)
         plan = QueryPlan(
             "scan", None, relation.num_rows, time.perf_counter() - start
         )
         return result, plan
     candidate = relation.take(access.rows)
-    result = _run(candidate, query)
+    result = execute_on_relation(candidate, sql)
     plan = QueryPlan(
         "index",
         access.index_attributes,

@@ -103,7 +103,6 @@ class WorkloadReport:
 def evaluate_workload(
     catalog: Catalog,
     queries: list[GeneratedQuery],
-    engine: str = "columnar",
     repeats: int = 1,
 ) -> WorkloadReport:
     """Time every query with and without advisor-built indexes.
@@ -133,7 +132,7 @@ def evaluate_workload(
         baseline_s = float("inf")
         for _ in range(max(1, repeats)):
             start = time.perf_counter()
-            result = execute(catalog, query.sql, engine=engine)
+            result = execute(catalog, query.sql)
             baseline_s = min(baseline_s, time.perf_counter() - start)
             baseline = result
 
@@ -143,7 +142,7 @@ def evaluate_workload(
             access = "join"
             for _ in range(max(1, repeats)):
                 start = time.perf_counter()
-                advised = execute(catalog, query.sql, engine=engine)
+                advised = execute(catalog, query.sql)
                 advised_s = min(advised_s, time.perf_counter() - start)
         else:
             indexed = indexed_for(query.table)

@@ -16,8 +16,6 @@ Three studies, each tied to a design claim DESIGN.md calls out:
 
 from __future__ import annotations
 
-import gc
-
 from repro.bench.timing import Timer
 from repro.core.candidates import extend_by_one
 from repro.core.config import RepairConfig
@@ -25,9 +23,7 @@ from repro.core.repair import find_repairs
 from repro.datagen.places import places_fds, places_relation
 from repro.datagen.realworld import country_spec, rental_spec
 from repro.datagen.engineered import engineered_relation
-from repro.datagen.tpch import TPCH_TABLE_NAMES, generate_table
-from repro.datagen.veterans import veterans_relation
-from repro.discovery.tane import discover_fds, discover_fds_plain
+from repro.discovery.tane import discover_fds
 from repro.eb.repair import eb_extend_by_one
 from repro.eb.entropy import EntropyCost
 from repro.fd.measures import assess
@@ -37,7 +33,6 @@ __all__ = [
     "cb_vs_eb_rows",
     "backend_rows",
     "discovery_rows",
-    "stripped_engine_rows",
     "ablation_workloads",
 ]
 
@@ -130,49 +125,3 @@ def discovery_rows(scale: float = 0.02, seed: int = 7) -> list[dict]:
         )
     return rows
 
-
-def stripped_engine_rows(preset: str = "small", seed: int = 42) -> list[dict]:
-    """Stripped-partition discovery vs the plain distinct-count engine.
-
-    The PR-1 partition-engine ablation: every TPC-H table at the
-    default bench preset plus the Veterans case study at its module
-    defaults (30 attributes × 10K rows), each discovered with both
-    engines at the default lattice depth.  ``lineitem`` runs at
-    ``max_lhs_size=2`` — it is the paper's own Table 5 heavyweight and
-    its all-low-cardinality pool is the stripped engine's worst case
-    (partitions never shrink), so it is the honest lower bound of the
-    table rather than a showcase.
-    """
-    workloads: list[tuple[str, object, int]] = []
-    for table in TPCH_TABLE_NAMES:
-        max_lhs = 2 if table == "lineitem" else 3
-        workloads.append(
-            (f"tpch.{table}", generate_table(table, preset, seed), max_lhs)
-        )
-    workloads.append(("veterans", veterans_relation(), 3))
-
-    rows = []
-    for name, relation, max_lhs in workloads:
-        relation.stats.clear()
-        gc.collect()
-        with Timer() as stripped_timer:
-            stripped = discover_fds(relation, max_lhs_size=max_lhs)
-        gc.collect()
-        with Timer() as plain_timer:
-            plain = discover_fds_plain(relation, max_lhs_size=max_lhs)
-        identical = [(d.fd, d.confidence) for d in stripped.fds] == [
-            (d.fd, d.confidence) for d in plain.fds
-        ]
-        rows.append(
-            {
-                "workload": name,
-                "rows": relation.num_rows,
-                "max_lhs": max_lhs,
-                "stripped_seconds": stripped_timer.elapsed,
-                "plain_seconds": plain_timer.elapsed,
-                "speedup": plain_timer.elapsed / max(stripped_timer.elapsed, 1e-9),
-                "identical": identical,
-                "fds": len(stripped.fds),
-            }
-        )
-    return rows

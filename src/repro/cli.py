@@ -119,12 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("catalog", type=Path)
     query.add_argument("sql")
     query.add_argument(
-        "--engine",
-        choices=("columnar", "rowdict"),
-        default="columnar",
-        help="execution engine (rowdict is the reference oracle)",
-    )
-    query.add_argument(
         "--csv",
         action="store_true",
         help="emit CSV instead of the aligned text table",
@@ -190,17 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("relation")
     mine.add_argument("--max-size", type=int, default=3, help="max predicates per DC")
     mine.add_argument(
-        "--max-pairs", type=int, default=100_000, help="pair-enumeration budget"
+        "--max-pairs",
+        type=int,
+        default=100_000,
+        help="pair-sample budget (the result is exact whatever the budget)",
     )
     mine.add_argument(
         "--fds-only", action="store_true", help="show only FD-shaped constraints"
-    )
-    mine.add_argument(
-        "--engine",
-        choices=("tiled", "reference"),
-        default="tiled",
-        help="discovery engine: sample-then-verify (exact) or one-shot "
-        "enumeration with honest sampling",
     )
 
     serve = sub.add_parser(
@@ -425,7 +415,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
         print(Database(catalog).explain(args.sql), end="")
         return 0
-    result = execute(catalog, args.sql, engine=args.engine)
+    result = execute(catalog, args.sql)
     if args.csv:
         print(result.to_csv(), end="")
     else:
@@ -558,7 +548,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     result = discover_dcs(
         relation,
         space,
-        engine=args.engine,
         max_size=args.max_size,
         sample_pairs=args.max_pairs,
     )
@@ -569,10 +558,9 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             continue
         print(f"  {fd if fd is not None else dc}")
         shown += 1
-    sampled = " (pair enumeration sampled)" if result.sampled else ""
     print(
         f"{shown} constraint(s) shown of {result.num_constraints} mined "
-        f"from {result.evidence_pairs} pairs{sampled}"
+        f"from {result.evidence_pairs} pairs"
     )
     return 0
 

@@ -6,20 +6,14 @@ periodic or continuous checks of FDs validity)" (§1).  Re-running
 checking O(n) per tuple; this monitor makes it O(#FDs) per tuple by
 maintaining the three distinct-counts of Definition 3 incrementally.
 
-Two engines implement that maintenance:
-
-* ``"delta"`` (default) — one shared
-  :class:`~repro.relational.delta.DeltaStream` serves *all* watched
-  FDs: each attribute is dictionary-encoded exactly once per tuple
-  (values interned to dense integer codes), and each distinct
-  attribute set — ``X``, ``X ∪ Y``, ``Y`` — is maintained by a single
-  counts-only group tracker however many FDs need it.  Memory per
-  tracker is one ``int → int`` (or ``int-tuple → int``) map instead of
-  a set of raw value tuples per FD.
-* ``"legacy"`` — the original per-FD hash-set counters (three sets of
-  value tuples per FD), kept as the reference implementation; both
-  engines produce identical confidences on every stream, NULLs
-  included (property: codes are assigned injectively).
+One shared :class:`~repro.relational.delta.DeltaStream` serves *all*
+watched FDs: each attribute is dictionary-encoded exactly once per
+tuple (values interned to dense integer codes), and each distinct
+attribute set — ``X``, ``X ∪ Y``, ``Y`` — is maintained by a single
+counts-only group tracker however many FDs need it.  Memory per
+tracker is one ``int → int`` (or ``int-tuple → int``) map.  The test
+suite pins the counts against a batch re-assessment of every stream
+prefix, NULLs included (codes are assigned injectively).
 
 The monitor raises *alerts* through a callback whenever an FD's
 confidence crosses below a configured threshold — the trigger for the
@@ -40,13 +34,11 @@ from repro.fd.fd import FunctionalDependency
 from repro.fd.measures import FDAssessment
 from repro.relational import expr
 from repro.relational.delta import DeltaStream, GroupTracker
-from repro.relational.errors import ArityError, validate_engine
+from repro.relational.errors import ArityError
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
 
 __all__ = ["FDAlert", "MonitoredFD", "FDMonitor"]
-
-_ENGINES = ("delta", "legacy")
 
 
 @dataclass(frozen=True)
@@ -69,42 +61,21 @@ class FDAlert:
 class MonitoredFD:
     """Incremental state for one watched FD.
 
-    On the delta engine the three counts live in shared stream
-    trackers (``_trackers``); the legacy engine fills the three value-
-    tuple sets instead.  Either way :attr:`confidence`,
-    :attr:`goodness` and :meth:`assessment` read the same numbers.
+    The three counts live in the shared stream's trackers for ``X``,
+    ``X ∪ Y`` and ``Y`` (``_trackers``); :attr:`confidence`,
+    :attr:`goodness` and :meth:`assessment` read them.
     """
 
     fd: FunctionalDependency
     threshold: float
-    x_positions: tuple[int, ...]
-    y_positions: tuple[int, ...]
-    distinct_x: set = field(default_factory=set)
-    distinct_xy: set = field(default_factory=set)
-    distinct_y: set = field(default_factory=set)
+    _trackers: tuple[GroupTracker, GroupTracker, GroupTracker] = field(repr=False)
     alerted: bool = False
     history: list[float] = field(default_factory=list)
-    _trackers: tuple[GroupTracker, GroupTracker, GroupTracker] | None = field(
-        default=None, repr=False
-    )
-
-    def observe(self, row: Sequence[Any]) -> None:
-        """Fold one tuple into the counters (legacy engine only; the
-        delta engine folds rows at the shared stream instead)."""
-        if self._trackers is not None:
-            return
-        x_key = tuple(row[i] for i in self.x_positions)
-        y_key = tuple(row[i] for i in self.y_positions)
-        self.distinct_x.add(x_key)
-        self.distinct_y.add(y_key)
-        self.distinct_xy.add(x_key + y_key)
 
     def _counts(self) -> tuple[int, int, int]:
-        """Current ``(|π_X|, |π_XY|, |π_Y|)`` from whichever engine."""
-        if self._trackers is not None:
-            x, xy, y = self._trackers
-            return x.num_distinct, xy.num_distinct, y.num_distinct
-        return len(self.distinct_x), len(self.distinct_xy), len(self.distinct_y)
+        """Current ``(|π_X|, |π_XY|, |π_Y|)``."""
+        x, xy, y = self._trackers
+        return x.num_distinct, xy.num_distinct, y.num_distinct
 
     @property
     def confidence(self) -> float:
@@ -132,11 +103,9 @@ class FDMonitor:
     Seed it with a schema (or an existing relation, whose rows are
     replayed), then feed tuples with :meth:`append`.  Alerts fire once
     per FD, when its confidence first drops below the threshold; a
-    subsequent recovery above the threshold re-arms the alert.
-
-    ``engine`` selects the counter implementation (module docstring):
-    ``"delta"`` rides the shared incremental statistics of
-    :mod:`repro.relational.delta`, ``"legacy"`` keeps per-FD hash sets.
+    subsequent recovery above the threshold re-arms the alert.  Every
+    ``history_every``-th observed tuple appends each FD's confidence to
+    its history.
     """
 
     def __init__(
@@ -145,7 +114,6 @@ class FDMonitor:
         on_alert: Callable[[FDAlert], None] | None = None,
         default_threshold: float = 1.0,
         history_every: int = 100,
-        engine: str = "delta",
         scope: expr.Predicate | None = None,
     ) -> None:
         if isinstance(schema, Relation):
@@ -154,15 +122,22 @@ class FDMonitor:
         else:
             relation = None
             self._schema = schema
-        validate_engine(engine, _ENGINES)
+        if (
+            isinstance(history_every, bool)
+            or not isinstance(history_every, int)
+            or history_every < 1
+        ):
+            raise ValueError(
+                f"history_every must be a positive integer, got {history_every!r}"
+            )
         self._arity = self._schema.arity
         self._watched: list[MonitoredFD] = []
         self._on_alert = on_alert
         self._default_threshold = default_threshold
-        self._history_every = max(1, history_every)
+        self._history_every = history_every
         self._num_rows = 0
         self._pending_replay = relation
-        self._stream = DeltaStream(self._schema) if engine == "delta" else None
+        self._stream = DeltaStream(self._schema)
         self._scope = scope
         # Resolve (and thereby validate) the scope's attributes once.
         self._scope_positions = (
@@ -177,11 +152,6 @@ class FDMonitor:
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
-    @property
-    def engine(self) -> str:
-        """Which counter engine this monitor runs on."""
-        return "delta" if self._stream is not None else "legacy"
-
     @property
     def on_alert(self) -> Callable[[FDAlert], None] | None:
         """The alert callback (settable; dropped by snapshots)."""
@@ -234,24 +204,15 @@ class FDMonitor:
                 return state
         # Validate the FD's attributes *before* touching the shared
         # stream, so a failed watch leaves no orphan trackers behind.
-        x_positions = self._schema.positions(fd.antecedent)
-        y_positions = self._schema.positions(fd.consequent)
-        trackers = None
-        if self._stream is not None:
-            x = list(fd.antecedent)
-            y = list(fd.consequent)
-            trackers = (
-                self._stream.tracker(x),
-                self._stream.tracker(x + y),
-                self._stream.tracker(y),
-            )
-        state = MonitoredFD(
-            fd=fd,
-            threshold=threshold,
-            x_positions=x_positions,
-            y_positions=y_positions,
-            _trackers=trackers,
+        self._schema.positions(fd.antecedent + fd.consequent)
+        x = list(fd.antecedent)
+        y = list(fd.consequent)
+        trackers = (
+            self._stream.tracker(x),
+            self._stream.tracker(x + y),
+            self._stream.tracker(y),
         )
+        state = MonitoredFD(fd=fd, threshold=threshold, _trackers=trackers)
         self._watched.append(state)
         if self._pending_replay is not None:
             replay, self._pending_replay = self._pending_replay, None
@@ -298,21 +259,15 @@ class FDMonitor:
                 for state in self._watched:
                     state.history.append(state.confidence)
             return []
-        stream = self._stream
-        if stream is not None:
-            # One encode + one fold per distinct attribute set, shared
-            # by every watched FD.
-            stream.append(row)
+        # One encode + one fold per distinct attribute set, shared by
+        # every watched FD.
+        self._stream.append(row)
         alerts: list[FDAlert] = []
         for state in self._watched:
-            if stream is None:
-                state.observe(row)
-                confidence = state.confidence
-            else:
-                # Inlined tracker read — this runs per tuple per FD.
-                x, xy, _ = state._trackers
-                xy_count = len(xy.groups)
-                confidence = len(x.groups) / xy_count if xy_count else 1.0
+            # Inlined tracker read — this runs per tuple per FD.
+            x, xy, _ = state._trackers
+            xy_count = len(xy.groups)
+            confidence = len(x.groups) / xy_count if xy_count else 1.0
             if self._num_rows % self._history_every == 0:
                 state.history.append(confidence)
             if confidence < state.threshold and not state.alerted:

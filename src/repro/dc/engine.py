@@ -31,9 +31,6 @@ handful of candidate DCs.  This module removes both:
   upward closed, so the minimal covers of the working set and of the
   full evidence coincide.  Clean candidates never pay for full
   evidence construction.
-
-``engine="reference"`` (the one-shot enumeration) is retained in
-:func:`discover_dcs` and serves as the property-test oracle.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.relational import kernels
-from repro.relational.errors import validate_engine
 from repro.relational.relation import Relation
 
 from .evidence import (
@@ -55,9 +51,8 @@ from .evidence import (
     _decode_pair,
     _eq_all_lane,
     _sampled_pair_ids,
-    build_evidence_set,
 )
-from .model import DCError, DenialConstraint, Operator
+from .model import DenialConstraint, Operator
 from .predicates import PredicateSpace, build_predicate_space
 from .search import DCDiscoveryResult, mine_denial_constraints
 
@@ -324,7 +319,6 @@ def discover_dcs(
     relation: Relation,
     space: PredicateSpace | None = None,
     *,
-    engine: str = "tiled",
     max_size: int = 4,
     max_violations: int = 0,
     max_constraints: int | None = None,
@@ -334,35 +328,31 @@ def discover_dcs(
 ) -> DCDiscoveryResult:
     """Mine all minimal valid DCs of ``relation`` under ``space``.
 
-    ``engine="tiled"`` (default) runs the sample-then-verify loop: mine
-    candidates from at most ``sample_pairs`` representative pairs
-    (default :data:`DEFAULT_SAMPLE_PAIRS`, deterministic), verify each
-    against the full pair space, refine and repeat until every mined DC
-    verifies.  The result is *exact* — identical to full enumeration —
-    yet clean instances never build the full evidence multiset.
-    ``engine="reference"`` is the legacy one-shot path (``sample_pairs``
-    maps onto its ``max_pairs`` row-pair budget); it exists as the
-    equivalence oracle and for approximate mining
-    (``max_violations > 0``), which needs true pair multiplicities.
+    Exact mining (``max_violations=0``) runs the sample-then-verify
+    loop: mine candidates from at most ``sample_pairs`` representative
+    pairs (default :data:`DEFAULT_SAMPLE_PAIRS`, deterministic), verify
+    each against the full pair space, refine and repeat until every
+    mined DC verifies.  The result is *exact* — identical to full
+    enumeration — yet clean instances never build the full evidence
+    multiset.  Approximate mining (``max_violations > 0``) needs true
+    pair multiplicities, so it builds the evidence in one shot
+    (:func:`build_evidence_tiled`, ``sample_pairs`` as its
+    representative-pair budget) and mines that.
     """
-    validate_engine(engine, ("tiled", "reference"), DCError)
     if space is None:
         space = build_predicate_space(relation, order_predicates=order_predicates)
-    if engine == "reference":
-        evidence = build_evidence_set(relation, space, max_pairs=sample_pairs)
+    tile = effective_tile() if tile is None else _validate_tile(tile, "tile=")
+    if max_violations:
+        evidence = build_evidence_tiled(
+            relation, space, max_pairs=sample_pairs, tile=tile
+        )
         return mine_denial_constraints(
             evidence,
             max_size=max_size,
             max_violations=max_violations,
             max_constraints=max_constraints,
         )
-    if max_violations:
-        raise DCError(
-            "the tiled engine verifies exact DCs only; use engine='reference' "
-            "for approximate mining (max_violations > 0)"
-        )
     start = time.perf_counter()
-    tile = effective_tile() if tile is None else _validate_tile(tile, "tile=")
     n = relation.num_rows
     total_unordered = n * (n - 1) // 2
     if not space.attributes or n < 2:

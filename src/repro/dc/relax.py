@@ -110,7 +110,6 @@ def discover_then_relax(
     max_pairs: int | None = 200_000,
     order_predicates: bool = False,
     max_constraints: int | None = None,
-    engine: str = "tiled",
 ) -> RelaxReport:
     """Run the [16]-style workflow against ``designer_fds``.
 
@@ -120,12 +119,9 @@ def discover_then_relax(
     another structural handicap the report makes visible).
     ``order_predicates=False`` keeps the space to the FD fragment,
     which is the generous setting for the comparison: order predicates
-    only blow the space up further.  ``engine`` selects the discovery
-    path: ``"tiled"`` (default) runs sample-then-verify with
-    ``max_pairs`` as the sample budget — exact results without full
-    evidence construction; ``"reference"`` is the legacy one-shot
-    enumeration where ``max_pairs`` truncates honestly-flagged
-    sampling.
+    only blow the space up further.  Discovery runs sample-then-verify
+    with ``max_pairs`` as the sample budget — exact results without
+    full evidence construction.
     """
     report = RelaxReport()
 
@@ -134,7 +130,6 @@ def discover_then_relax(
     discovery = discover_dcs(
         relation,
         space,
-        engine=engine,
         max_size=max_size,
         max_constraints=max_constraints,
         sample_pairs=max_pairs,

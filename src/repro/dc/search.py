@@ -70,6 +70,10 @@ def mine_denial_constraints(
     """
     if max_size < 1:
         raise DCError("max_size must be >= 1")
+    if max_violations < 0:
+        raise DCError("max_violations must be >= 0")
+    if max_constraints is not None and max_constraints < 0:
+        raise DCError("max_constraints must be >= 0 or None")
     start = time.perf_counter()
     space = evidence.space
     num_preds = space.size

@@ -29,13 +29,9 @@ Discovered output is exactly the seed semantics: *minimal* FDs
 consequent) with their confidences ``|π_X| / |π_XA|``; the
 ``min_confidence < 1`` mode yields Definition 4's approximate FDs.
 Complexity remains exponential in the arity — which is precisely the
-paper's point — so ``max_lhs_size`` bounds the walk.
-
-:func:`discover_fds_plain` keeps the pre-partition implementation
-(distinct counts recomputed per attribute set) alive as the ablation
-baseline; ``benchmarks/bench_ablation_discovery.py`` measures the two
-against each other and the test suite asserts they return identical
-results.
+paper's point — so ``max_lhs_size`` bounds the walk.  The test
+suite pins the output against a plain distinct-count oracle
+(``tests/oracles/tane.py``).
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ from dataclasses import dataclass, field
 from repro.fd.fd import FunctionalDependency
 from repro.relational.relation import Relation
 
-__all__ = ["DiscoveredFD", "DiscoveryResult", "discover_fds", "discover_fds_plain"]
+__all__ = ["DiscoveredFD", "DiscoveryResult", "discover_fds"]
 
 
 @dataclass(frozen=True)
@@ -312,63 +308,3 @@ def discover_fds(
     result.elapsed_seconds = time.perf_counter() - start
     return result
 
-
-def discover_fds_plain(
-    relation: Relation,
-    max_lhs_size: int = 3,
-    min_confidence: float = 1.0,
-    attributes: list[str] | None = None,
-) -> DiscoveryResult:
-    """The pre-partition discovery: distinct-count comparisons only.
-
-    Kept as the ablation baseline for the stripped-partition engine —
-    semantically identical to :func:`discover_fds` (the test suite
-    asserts so property-based), but every candidate test pays a full
-    scan building the set of code tuples.  Counts are memoized locally,
-    not on the relation, so timing the two engines side by side stays
-    honest.
-    """
-    if not 0.0 < min_confidence <= 1.0:
-        raise ValueError("min_confidence must be in (0, 1]")
-    start = time.perf_counter()
-    pool = _discovery_pool(relation, attributes)
-    result = DiscoveryResult()
-
-    columns = {name: relation.column(name).codes for name in pool}
-    memo: dict[frozenset[str], int] = {}
-
-    def distinct(attrs: tuple[str, ...]) -> int:
-        key = frozenset(attrs)
-        cached = memo.get(key)
-        if cached is None:
-            cached = len(set(zip(*(columns[name] for name in attrs))))
-            memo[key] = cached
-        return cached
-
-    n = relation.num_rows
-    minimal_lhs: dict[str, list[frozenset[str]]] = {a: [] for a in pool}
-    keys: list[frozenset[str]] = []
-
-    for level in range(1, max_lhs_size + 1):
-        result.levels_explored = level
-        for lhs in itertools.combinations(pool, level):
-            lhs_set = frozenset(lhs)
-            if any(key <= lhs_set for key in keys):
-                continue
-            lhs_count = distinct(lhs)
-            if lhs_count == n:
-                keys.append(lhs_set)
-            for rhs in pool:
-                if rhs in lhs_set:
-                    continue
-                if any(known <= lhs_set for known in minimal_lhs[rhs]):
-                    continue
-                result.candidates_tested += 1
-                xy_count = distinct(tuple(sorted(lhs_set | {rhs})))
-                confidence = lhs_count / xy_count if xy_count else 1.0
-                if confidence >= min_confidence:
-                    fd = FunctionalDependency(lhs, (rhs,))
-                    result.fds.append(DiscoveredFD(fd, confidence))
-                    minimal_lhs[rhs].append(lhs_set)
-    result.elapsed_seconds = time.perf_counter() - start
-    return result

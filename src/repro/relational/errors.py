@@ -19,7 +19,6 @@ __all__ = [
     "DuplicateRelationError",
     "ArityError",
     "KernelBackendError",
-    "validate_engine",
 ]
 
 
@@ -115,22 +114,3 @@ class KernelBackendError(ReproError):
         self.backend = backend
         self.reason = reason
 
-
-def validate_engine(
-    value: str,
-    allowed: tuple[str, ...],
-    error_type: type[Exception] = ValueError,
-) -> str:
-    """Validate an ``engine=`` keyword against its allowed values.
-
-    Every subsystem that exposes engine selection — SQL execution, DC
-    discovery, FD monitoring — funnels through this helper so the error
-    message is uniform (see the engine matrix in docs/ARCHITECTURE.md).
-    ``error_type`` lets each call site keep its established exception
-    class.
-    """
-    if value not in allowed:
-        raise error_type(
-            f"unknown engine {value!r}; expected one of {tuple(allowed)}"
-        )
-    return value

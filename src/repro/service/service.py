@@ -101,7 +101,6 @@ class TenantSpec:
     attributes: tuple[str, ...]
     watches: tuple[tuple[str, float | None], ...]
     priority: int = 0
-    engine: str = "delta"
     history_every: int = 100
 
     def __post_init__(self) -> None:
@@ -109,6 +108,23 @@ class TenantSpec:
             raise ValueError(
                 f"tenant_id must be a non-empty name without '/', "
                 f"got {self.tenant_id!r}"
+            )
+        if not isinstance(self.attributes, (list, tuple)) or not all(
+            isinstance(name, str) for name in self.attributes
+        ):
+            raise ValueError(
+                f"attributes must be a list of names, got {self.attributes!r}"
+            )
+        if isinstance(self.priority, bool) or not isinstance(self.priority, int):
+            raise ValueError(f"priority must be an integer, got {self.priority!r}")
+        if (
+            isinstance(self.history_every, bool)
+            or not isinstance(self.history_every, int)
+            or self.history_every < 1
+        ):
+            raise ValueError(
+                f"history_every must be a positive integer, "
+                f"got {self.history_every!r}"
             )
         object.__setattr__(self, "attributes", tuple(self.attributes))
         object.__setattr__(
@@ -127,34 +143,38 @@ class TenantSpec:
                 for fd, threshold in self.watches
             ],
             "priority": self.priority,
-            "engine": self.engine,
             "history_every": self.history_every,
         }
 
     @classmethod
     def from_json(cls, payload: dict[str, Any]) -> "TenantSpec":
         try:
-            return cls(
+            spec = cls(
                 tenant_id=payload["tenant_id"],
                 relation=payload["relation"],
-                attributes=tuple(payload["attributes"]),
+                attributes=payload["attributes"],
                 watches=tuple(
                     (watch["fd"], watch["threshold"])
                     for watch in payload["watches"]
                 ),
                 priority=payload.get("priority", 0),
-                engine=payload.get("engine", "delta"),
                 history_every=payload.get("history_every", 100),
             )
-        except (KeyError, TypeError) as error:
+        except (KeyError, TypeError, ValueError) as error:
             raise WalCorruptError(f"malformed tenant spec: {error}") from error
+        # Specs written before the monitor had a single engine carry an
+        # ``engine`` field; only the surviving one can be restored.
+        engine = payload.get("engine", "delta")
+        if engine != "delta":
+            raise WalCorruptError(
+                f"tenant spec names engine {engine!r}; only 'delta' is supported"
+            )
+        return spec
 
     def build_monitor(self) -> FDMonitor:
         """A fresh monitor implementing this spec (empty stream)."""
         schema = RelationSchema(self.relation, list(self.attributes))
-        monitor = FDMonitor(
-            schema, history_every=self.history_every, engine=self.engine
-        )
+        monitor = FDMonitor(schema, history_every=self.history_every)
         for fd_text, threshold in self.watches:
             monitor.watch(FunctionalDependency.parse(fd_text), threshold)
         return monitor

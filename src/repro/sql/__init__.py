@@ -3,11 +3,10 @@
 A three-stage pipeline — :func:`parse` produces an AST,
 :func:`~repro.sql.plan.plan_query` normalises it into a logical plan
 (Scan / Join / Filter / Aggregate / Sort / Project / Limit), and the
-executor compiles each operator onto the columnar kernels (or the
-retained row-dict oracle via ``engine="rowdict"``).  The grammar covers
-the query surface the paper's prototype uses — ``COUNT(DISTINCT …)``
-measure queries — plus joins, GROUP BY / HAVING, ORDER BY and
-LIMIT/OFFSET for workload experiments.  :func:`connect` /
+executor compiles each operator onto the columnar kernels.  The
+grammar covers the query surface the paper's prototype uses —
+``COUNT(DISTINCT …)`` measure queries — plus joins, GROUP BY / HAVING,
+ORDER BY and LIMIT/OFFSET for workload experiments.  :func:`connect` /
 :class:`Database` is the user-facing facade; :class:`SqlCountBackend`
 computes FD measures through literal SQL text.
 """

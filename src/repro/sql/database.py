@@ -2,14 +2,14 @@
 
 ``connect(catalog)`` (or ``Database(catalog)``) is the front door of
 the SQL layer: one object that runs the whole parse → plan → execute
-pipeline and pins per-call engine and optimizer settings::
+pipeline and pins per-call optimizer settings::
 
     db = connect(catalog)
     result = db.query("SELECT City, COUNT(*) FROM Places GROUP BY City")
     print(result.to_csv())
 
 The facade adds no semantics of its own — :meth:`Database.query` is
-``execute`` — so everything the property suite proves about the engines
+``execute`` — so everything the property suite proves about the executor
 holds here too.
 
 Chunked stores attach through a per-database **store cache**:
@@ -127,7 +127,6 @@ class Database:
     def query_store(
         self,
         sql: str,
-        engine: str = "columnar",
         scan_stats=None,
     ) -> ResultSet:
         """Run one single-table statement straight off its attached store.
@@ -145,7 +144,6 @@ class Database:
         return query_store(
             self.store(query.table),
             sql,
-            engine=engine,
             scan_stats=scan_stats,
         )
 
@@ -155,7 +153,6 @@ class Database:
     def query(
         self,
         sql: str,
-        engine: str = "columnar",
         optimize: str | None = None,
     ) -> ResultSet:
         """Run one SQL statement and return its :class:`ResultSet`.
@@ -163,12 +160,11 @@ class Database:
         ``optimize`` (``"on"``/``"off"``) scopes the query optimizer for
         this call only (``None`` keeps the process-wide setting).
         """
-        return execute(self.catalog, sql, engine, optimize=optimize)
+        return execute(self.catalog, sql, optimize=optimize)
 
     def query_plan(
         self,
         plan: "Plan | str",
-        engine: str = "columnar",
         optimized: bool = True,
     ) -> "ResultSet | Plan":
         """Plans and executes, depending on the argument.
@@ -187,7 +183,7 @@ class Database:
             if not optimized:
                 return built
             return optimize_plan(built, StatisticsProvider(catalog=self.catalog))
-        return execute_plan(self.catalog, plan, engine)
+        return execute_plan(self.catalog, plan)
 
     def explain(self, sql: str) -> str:
         """The optimized plan for ``sql``, as text, with scan effects.

@@ -1,6 +1,6 @@
 """SQL over chunked stores: filter-pushdown scans with zone-map skips.
 
-The SQL engines execute against in-memory relations; this module is the
+The SQL executor runs against in-memory relations; this module is the
 bridge that gets a :class:`~repro.storage.reader.StoredRelation` under
 them without materializing it.  :func:`scan_store` walks the store one
 chunk at a time, evaluates the (compiled) WHERE predicate columnar on
@@ -28,8 +28,8 @@ One physical optimization rides the walk:
 :func:`query_store` is the one-call form: parse the statement, push its
 WHERE *and* its projection down through the chunked scan — only the
 columns the statement references are ever decoded — then run the full
-query on the survivors (the engines re-check the residual predicate —
-free on matches, and it keeps their property-tested semantics
+query on the survivors (the executor re-checks the residual predicate —
+free on matches, and it keeps its property-tested semantics
 authoritative).
 :meth:`Database.attach_store <repro.sql.database.Database>` uses these
 to register chunked scans in a catalog.
@@ -356,7 +356,7 @@ def scan_store(
     skip counters.  Chunks whose zone map refutes a WHERE conjunct are
     skipped without being read (``optimize`` knob on, format-v2 store).
     The result is an ordinary in-memory :class:`Relation` carrying the
-    store's schema (projected), ready for any engine.
+    store's schema (projected), ready for the executor.
     """
     predicate = _as_predicate(where)
     out_names = (
@@ -446,7 +446,6 @@ def _zone_lookup(store: StoredRelation, chunk: int) -> _ZoneLookup:
 def query_store(
     store: StoredRelation,
     sql: str,
-    engine: str = "columnar",
     scan_stats: ScanStats | None = None,
 ) -> ResultSet:
     """Run one SQL statement against a store, WHERE pushed down.
@@ -454,7 +453,7 @@ def query_store(
     The FROM clause must name the store's relation.  The WHERE clause
     filters chunk by chunk during the scan, so only matching rows are
     ever resident; the full statement then runs on the survivors
-    through the ordinary engines (joins against other tables are not
+    through the ordinary executor (joins against other tables are not
     supported on this path — attach the store into a catalog for that).
     """
     query = parse(sql)
@@ -484,4 +483,4 @@ def query_store(
             if name in referenced
         ) or store.schema.attribute_names[:1]
     scan = scan_store(store, where=predicate, columns=columns, stats=scan_stats)
-    return execute_on_relation(scan, sql, engine)
+    return execute_on_relation(scan, sql)

@@ -1,5 +1,7 @@
 """Tests for the incremental FD monitor (continuous checking)."""
 
+import re
+
 import pytest
 
 from repro.core.monitor import FDAlert, FDMonitor
@@ -9,6 +11,7 @@ from repro.fd.measures import assess
 from repro.relational.errors import ArityError
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
+from tests.oracles.monitor import alert_positions, prefix_assessments
 
 FD_AB = FunctionalDependency(("A",), ("B",))
 
@@ -131,100 +134,115 @@ class TestIntrospection:
             monitor.append((f"a{i}", f"b{i}", "c"))
         assert len(state.history) == 3
 
+    @pytest.mark.parametrize("bad", [0, -3, True, 2.5, "x", None])
+    def test_history_every_must_be_a_positive_int(self, schema, bad):
+        with pytest.raises(
+            ValueError,
+            match=re.escape(f"history_every must be a positive integer, got {bad!r}"),
+        ):
+            FDMonitor(schema, history_every=bad)
 
-@pytest.fixture(params=["legacy", "delta"])
-def engine(request):
-    return request.param
+
+def _check_against_oracle(schema, rows, watches, scope=None):
+    """Stream ``rows`` through a monitor watching ``(fd, threshold)``
+    pairs; after every tuple each FD's counts and alert state must
+    equal the prefix re-assessment oracle, and the alerts must fire at
+    exactly the oracle's positions.  Returns the monitored states."""
+    alerts = []
+    monitor = FDMonitor(schema, on_alert=alerts.append, scope=scope)
+    states = [monitor.watch(dep, threshold) for dep, threshold in watches]
+    trace = []
+    for row in rows:
+        monitor.append(row)
+        trace.append([(s.assessment(), s.alerted) for s in states])
+    expected_alerts = []
+    for index, (dep, threshold) in enumerate(watches):
+        oracle = prefix_assessments(schema, rows, dep, scope)
+        assert [step[index] for step in trace] == [
+            (a, a.confidence < threshold) for a in oracle
+        ]
+        expected_alerts += [
+            (position, str(dep)) for position in alert_positions(oracle, threshold)
+        ]
+    assert sorted((a.num_rows, str(a.fd)) for a in alerts) == sorted(expected_alerts)
+    return states
 
 
 class TestBothEngines:
-    """The legacy hash-set path and the delta-stream path must agree."""
-
-    def test_engine_property_and_validation(self, schema, engine):
-        assert FDMonitor(schema, engine=engine).engine == engine
-        with pytest.raises(ValueError):
-            FDMonitor(schema, engine="nope")
+    """The delta monitor against the prefix re-assessment oracle
+    (``tests/oracles/monitor.py``): after every tuple, each watched
+    FD's counts, confidence, goodness and alert state must equal
+    ``assess`` over the stream so far."""
 
     def test_confidences_identical_across_engines(self, schema):
         rows = [
             (f"a{i % 7}", f"b{(i * 3) % 5}" if i % 11 else None, f"c{i % 2}")
             for i in range(200)
         ]
-        readings = {}
-        for name in ("legacy", "delta"):
-            monitor = FDMonitor(schema, engine=name)
-            states = [
-                monitor.watch(fd("A -> C"), threshold=0.5),
-                monitor.watch(fd("[A, C] -> B"), threshold=0.5),
-            ]
-            trace = []
-            for row in rows:
-                monitor.append(row)
-                trace.append(
-                    tuple((s.confidence, s.goodness, s.alerted) for s in states)
-                )
-            readings[name] = trace
-        assert readings["legacy"] == readings["delta"]
+        _check_against_oracle(
+            schema, rows, [(fd("A -> C"), 0.5), (fd("[A, C] -> B"), 0.5)]
+        )
 
-    def test_alert_rearm_fires_twice(self, schema, engine):
+    def test_alert_rearm_fires_twice(self, schema):
         """Drop below threshold → recover → drop again must alert twice."""
+        rows = (
+            [("a1", "b1", "c"), ("a1", "b2", "c")]  # confidence 0.5: alert
+            # Recovery: fresh consistent groups push confidence over 0.7.
+            + [(f"r{i}", f"rb{i}", "c") for i in range(10)]
+            # Second genuine drop: violate many fresh groups.
+            + [(f"r{i}", f"other{i}", "c") for i in range(10)]
+        )
         alerts = []
-        monitor = FDMonitor(schema, on_alert=alerts.append, engine=engine)
-        monitor.watch(FD_AB, threshold=0.7)
-        monitor.append(("a1", "b1", "c"))
-        monitor.append(("a1", "b2", "c"))  # confidence 0.5 → first alert
+        monitor = FDMonitor(schema, on_alert=alerts.append)
+        state = monitor.watch(FD_AB, threshold=0.7)
+        monitor.extend(rows[:2])
         assert len(alerts) == 1
-        # Recovery: fresh consistent groups push confidence back over 0.7.
-        for i in range(10):
-            monitor.append((f"r{i}", f"rb{i}", "c"))
-        state = monitor.state_of(FD_AB)
+        monitor.extend(rows[2:12])
         assert state.confidence >= 0.7 and not state.alerted
-        # Second genuine drop: violate many fresh groups.
-        for i in range(10):
-            monitor.append((f"r{i}", f"other{i}", "c"))
+        monitor.extend(rows[12:])
         assert len(alerts) == 2, "re-armed alert must fire on the second drop"
         assert alerts[0].num_rows < alerts[1].num_rows
+        oracle = prefix_assessments(schema, rows, FD_AB)
+        assert [a.num_rows for a in alerts] == alert_positions(oracle, 0.7)
 
-    def test_null_bearing_rows(self, schema, engine):
-        """NULL is one regular (distinct) value on either engine."""
-        monitor = FDMonitor(schema, engine=engine)
-        state = monitor.watch(FD_AB)
-        monitor.append((None, "b1", "c"))
-        monitor.append((None, "b1", "c"))
-        assert state.confidence == 1.0
-        monitor.append((None, "b2", "c"))  # NULL X-group now maps to 2 Bs
-        assert state.confidence == pytest.approx(1 / 2)
-        monitor.append(("a1", None, "c"))
-        monitor.append(("a1", None, "c"))  # NULL consequent: consistent
+    def test_null_bearing_rows(self, schema):
+        """NULL is one regular (distinct) value."""
+        rows = [
+            (None, "b1", "c"),
+            (None, "b1", "c"),
+            (None, "b2", "c"),  # NULL X-group now maps to 2 Bs
+            ("a1", None, "c"),
+            ("a1", None, "c"),  # NULL consequent: consistent
+        ]
+        (state,) = _check_against_oracle(schema, rows, [(FD_AB, 1.0)])
         assert state.confidence == pytest.approx(2 / 3)
         snapshot = state.assessment()
         assert snapshot.distinct_x == 2
         assert snapshot.distinct_xy == 3
         assert snapshot.distinct_y == 3
 
-    def test_replay_seeds_both_engines(self, engine):
+    def test_replay_seeds_the_monitor(self):
         places = places_relation()
-        monitor = FDMonitor(places, engine=engine)
+        monitor = FDMonitor(places)
         state = monitor.watch(F1)
         assert monitor.num_rows == 11
         assert state.confidence == pytest.approx(0.5)
+        assert state.assessment() == assess(places, F1)
 
     def test_failed_watch_leaves_no_orphan_trackers(self, schema):
-        monitor = FDMonitor(schema, engine="delta")
+        monitor = FDMonitor(schema)
         with pytest.raises(Exception):
             monitor.watch(fd("A -> Nope"))  # unknown attribute
         assert monitor.watched == []
         assert monitor._stream._active == []  # no leaked stream state
 
-    def test_delta_engine_shares_trackers_and_keeps_sets_empty(self, schema):
-        monitor = FDMonitor(schema, engine="delta")
+    def test_fds_share_trackers(self, schema):
+        monitor = FDMonitor(schema)
         first = monitor.watch(fd("A -> B"))
         second = monitor.watch(fd("A -> C"))
         # Same antecedent, watched at the same position → one structure.
         assert first._trackers[0] is second._trackers[0]
         monitor.extend([("a", "b", "c"), ("a", "b", "c2")])
-        # The delta path never fills the per-FD value-tuple sets.
-        assert not first.distinct_x and not first.distinct_xy
         assert first.confidence == 1.0  # A -> B holds
         assert second.confidence == pytest.approx(0.5)  # A -> C violated
 
@@ -267,13 +285,12 @@ class TestScopePredicates:
         from repro.relational import expr
 
         scope = expr.eq(expr.col("Region"), "eu")
-        for engine in ("delta", "legacy"):
-            monitor = FDMonitor(self._schema(), engine=engine, scope=scope)
-            state = monitor.watch(fd("Key -> Val"), threshold=0.9)
-            monitor.append(("eu", "k1", "v1"))
-            monitor.append(("us", "k1", "v2"))  # out of scope: would violate
-            assert monitor.num_rows == 2
-            assert state.confidence == 1.0
+        monitor = FDMonitor(self._schema(), scope=scope)
+        state = monitor.watch(fd("Key -> Val"), threshold=0.9)
+        monitor.append(("eu", "k1", "v1"))
+        monitor.append(("us", "k1", "v2"))  # out of scope: would violate
+        assert monitor.num_rows == 2
+        assert state.confidence == 1.0
 
     def test_scoped_violation_still_alerts(self):
         from repro.relational import expr
@@ -299,15 +316,9 @@ class TestScopePredicates:
             ("eu", "a", 0), ("eu", "a", 2), ("us", None, 3),
             ("eu", "b", 1), ("us", "a", 5),
         ]
-        states = []
-        for engine in ("delta", "legacy"):
-            monitor = FDMonitor(schema, engine=engine, scope=scope)
-            state = monitor.watch(fd("Key -> Val"), threshold=0.1)
-            monitor.extend(rows)
-            states.append(state.assessment())
-        assert states[0].distinct_x == states[1].distinct_x
-        assert states[0].distinct_xy == states[1].distinct_xy
-        assert states[0].confidence == states[1].confidence
+        _check_against_oracle(
+            schema, rows, [(fd("Key -> Val"), 0.1), (fd("Region -> Val"), 0.9)], scope
+        )
 
     def test_unknown_scope_column_raises_at_construction(self):
         from repro.relational import expr

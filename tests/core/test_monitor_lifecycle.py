@@ -11,6 +11,7 @@ import pytest
 from repro.core.monitor import FDMonitor
 from repro.fd.fd import FunctionalDependency
 from repro.relational.schema import RelationSchema
+from tests.oracles.monitor import prefix_assessments
 
 FD = FunctionalDependency(["District"], ["Region"])
 SCHEMA = RelationSchema("places", ["Region", "District", "Manager"])
@@ -27,26 +28,25 @@ DIRTY = [
 ]
 
 
-@pytest.mark.parametrize("engine", ["delta", "legacy"])
 class TestReWatch:
-    def test_rewatch_returns_the_same_state(self, engine):
-        monitor = FDMonitor(SCHEMA, engine=engine)
+    def test_rewatch_returns_the_same_state(self):
+        monitor = FDMonitor(SCHEMA)
         first = monitor.watch(FD, threshold=0.9)
         again = monitor.watch(FD)
         assert again is first
         assert len(monitor.watched) == 1
         assert again.threshold == 0.9  # default did not clobber
 
-    def test_rewatch_with_explicit_threshold_updates_in_place(self, engine):
-        monitor = FDMonitor(SCHEMA, engine=engine)
+    def test_rewatch_with_explicit_threshold_updates_in_place(self):
+        monitor = FDMonitor(SCHEMA)
         state = monitor.watch(FD, threshold=0.9)
         monitor.watch(FD, threshold=0.5)
         assert state.threshold == 0.5
         assert len(monitor.watched) == 1
 
-    def test_rewatch_preserves_counters_and_arming(self, engine):
+    def test_rewatch_preserves_counters_and_arming(self):
         alerts = []
-        monitor = FDMonitor(SCHEMA, on_alert=alerts.append, engine=engine)
+        monitor = FDMonitor(SCHEMA, on_alert=alerts.append)
         monitor.watch(FD, threshold=0.9)
         monitor.extend(DIRTY)
         assert len(alerts) == 1
@@ -56,17 +56,16 @@ class TestReWatch:
         assert len(alerts) == 1  # crossing already fired exactly once
         assert state.confidence < 0.9
 
-    def test_rewatch_validates_threshold(self, engine):
-        monitor = FDMonitor(SCHEMA, engine=engine)
+    def test_rewatch_validates_threshold(self):
+        monitor = FDMonitor(SCHEMA)
         monitor.watch(FD)
         with pytest.raises(ValueError, match="threshold"):
             monitor.watch(FD, threshold=1.5)
 
 
-@pytest.mark.parametrize("engine", ["delta", "legacy"])
 class TestWatchAfterExtend:
-    def test_late_watcher_sees_only_future_rows(self, engine):
-        monitor = FDMonitor(SCHEMA, engine=engine)
+    def test_late_watcher_sees_only_future_rows(self):
+        monitor = FDMonitor(SCHEMA)
         monitor.watch(FD)
         monitor.extend(DIRTY)
         late = monitor.watch(
@@ -78,9 +77,11 @@ class TestWatchAfterExtend:
         monitor.append(["R9", "D9", "M9"])
         counts = late.assessment()
         assert (counts.distinct_x, counts.distinct_xy) == (1, 1)
+        # Exactly the batch measures of the rows since the watch.
+        assert counts == prefix_assessments(SCHEMA, [["R9", "D9", "M9"]], late.fd)[-1]
 
-    def test_late_watcher_alerts_on_its_own_stream(self, engine):
-        monitor = FDMonitor(SCHEMA, engine=engine)
+    def test_late_watcher_alerts_on_its_own_stream(self):
+        monitor = FDMonitor(SCHEMA)
         monitor.watch(FD)
         monitor.extend(CLEAN)
         late_fd = FunctionalDependency(["Manager"], ["Region"])
@@ -91,15 +92,14 @@ class TestWatchAfterExtend:
         assert late.alerted
 
 
-@pytest.mark.parametrize("engine", ["delta", "legacy"])
 class TestInterleavingEquivalence:
-    def test_interleaved_append_extend_equals_one_batch(self, engine):
+    def test_interleaved_append_extend_equals_one_batch(self):
         rows = DIRTY + CLEAN + DIRTY
-        batched = FDMonitor(SCHEMA, engine=engine)
+        batched = FDMonitor(SCHEMA)
         batched_state = batched.watch(FD, threshold=0.9)
         batched_alerts = batched.extend(rows)
 
-        interleaved = FDMonitor(SCHEMA, engine=engine)
+        interleaved = FDMonitor(SCHEMA)
         inter_state = interleaved.watch(FD, threshold=0.9)
         inter_alerts = []
         inter_alerts.extend(interleaved.extend(rows[:2]))
@@ -116,11 +116,10 @@ class TestInterleavingEquivalence:
         ] == [(a.confidence, a.num_rows) for a in batched_alerts]
 
 
-@pytest.mark.parametrize("engine", ["delta", "legacy"])
 class TestSnapshotRoundTrip:
-    def test_pickle_preserves_state_and_drops_callback(self, engine):
+    def test_pickle_preserves_state_and_drops_callback(self):
         alerts = []
-        monitor = FDMonitor(SCHEMA, on_alert=alerts.append, engine=engine)
+        monitor = FDMonitor(SCHEMA, on_alert=alerts.append)
         monitor.watch(FD, threshold=0.9)
         monitor.extend(DIRTY)
         clone = pickle.loads(pickle.dumps(monitor))
@@ -132,8 +131,8 @@ class TestSnapshotRoundTrip:
         assert restored.history == original.history
         assert clone.num_rows == monitor.num_rows
 
-    def test_restored_monitor_continues_identically(self, engine):
-        monitor = FDMonitor(SCHEMA, engine=engine)
+    def test_restored_monitor_continues_identically(self):
+        monitor = FDMonitor(SCHEMA)
         monitor.watch(FD, threshold=0.9)
         monitor.extend(DIRTY)
         clone = pickle.loads(pickle.dumps(monitor))

@@ -8,6 +8,7 @@ from repro.datagen import QUERY_KINDS, generate_tpch, generate_workload
 from repro.relational.catalog import Catalog
 from repro.relational.relation import Relation
 from repro.sql import execute
+from tests.oracles import rowdict
 
 
 @pytest.fixture(scope="module")
@@ -58,10 +59,10 @@ class TestValidity:
         queries = generate_workload(catalog, count=18, seed=2016)
         assert queries
         for query in queries:
-            columnar = execute(catalog, query.sql, engine="columnar")
-            rowdict = execute(catalog, query.sql, engine="rowdict")
-            assert columnar.columns == rowdict.columns, query.name
-            assert columnar.rows == rowdict.rows, query.name
+            columnar = execute(catalog, query.sql)
+            oracle = rowdict.execute(catalog, query.sql)
+            assert columnar.columns == oracle.columns, query.name
+            assert columnar.rows == oracle.rows, query.name
 
     def test_table_tag_matches_from_clause(self, catalog):
         for query in generate_workload(catalog, count=12, seed=5):

@@ -6,9 +6,10 @@ Three contracts are pinned, each on both kernel backends:
   multiset (`{mask: multiplicity}`) of the reference full enumeration,
   including NULL/NaN in ordered columns, >62-predicate spaces (multi-
   word masks) and tile-boundary representative counts;
-* **discovery equivalence** — `discover_dcs(engine="tiled")`'s
-  sample-then-verify loop returns exactly the reference engine's DC
-  set, with or without a sample budget;
+* **discovery equivalence** — `discover_dcs`'s sample-then-verify loop
+  returns exactly the DC set mined from the one-shot reference
+  evidence (`mine_denial_constraints(build_evidence_set(...))`), with
+  or without a sample budget;
 * **index correctness** — `EvidenceIndex` postings intersections match
   the retired full scan, and `EvidenceSet.violations_of` memoizes.
 
@@ -41,8 +42,9 @@ from repro.dc.evidence import (
     _sampled_pair_ids,
     build_evidence_set,
 )
-from repro.dc.model import DCError, DenialConstraint, Operator, Predicate
+from repro.dc.model import DenialConstraint, Operator, Predicate
 from repro.dc.predicates import PredicateSpace, build_predicate_space
+from repro.dc.search import mine_denial_constraints
 from repro.relational import kernels
 from repro.relational.relation import Relation
 
@@ -178,6 +180,11 @@ class TestTiledEvidenceEquivalence:
 # ----------------------------------------------------------------------
 # Sample-then-verify discovery
 # ----------------------------------------------------------------------
+def _one_shot(relation, space, **bounds):
+    """The reference: mine the one-shot full evidence enumeration."""
+    return mine_denial_constraints(build_evidence_set(relation, space), **bounds)
+
+
 class TestSampleThenVerify:
     @settings(
         max_examples=25,
@@ -190,19 +197,17 @@ class TestSampleThenVerify:
     )
     def test_tiled_discovery_equals_reference(self, backend, relation, sample):
         space = build_predicate_space(relation)
-        reference = discover_dcs(relation, space, engine="reference", max_size=3)
+        reference = _one_shot(relation, space, max_size=3)
         tiled = discover_dcs(
-            relation, space, engine="tiled", max_size=3, sample_pairs=sample, tile=5
+            relation, space, max_size=3, sample_pairs=sample, tile=5
         )
         assert set(tiled.constraints) == set(reference.constraints)
         assert not tiled.sampled  # verification makes the output exact
 
     def test_places_discovery_matches(self, places, backend):
         space = build_predicate_space(places, order_predicates=False)
-        reference = discover_dcs(places, space, engine="reference", max_size=3)
-        tiled = discover_dcs(
-            places, space, engine="tiled", max_size=3, sample_pairs=10
-        )
+        reference = _one_shot(places, space, max_size=3)
+        tiled = discover_dcs(places, space, max_size=3, sample_pairs=10)
         assert set(tiled.constraints) == set(reference.constraints)
 
     def test_clean_instance_verifies_without_refinement(self, backend):
@@ -210,19 +215,19 @@ class TestSampleThenVerify:
             "clean", {"K": [f"k{i}" for i in range(40)], "V": ["v"] * 40}
         )
         space = build_predicate_space(relation, order_predicates=False)
-        result = discover_dcs(
-            relation, space, engine="tiled", max_size=2, sample_pairs=5
-        )
-        reference = discover_dcs(relation, space, engine="reference", max_size=2)
+        result = discover_dcs(relation, space, max_size=2, sample_pairs=5)
+        reference = _one_shot(relation, space, max_size=2)
         assert set(result.constraints) == set(reference.constraints)
 
-    def test_tiled_rejects_tolerance(self, places):
-        with pytest.raises(DCError):
-            discover_dcs(places, engine="tiled", max_violations=1)
-
-    def test_unknown_engine_rejected(self, places):
-        with pytest.raises(DCError):
-            discover_dcs(places, engine="warp")
+    def test_tolerance_mines_one_shot_evidence(self, places):
+        # Approximate mining needs true pair multiplicities: it mines the
+        # full evidence in one shot, exactly as the reference does.
+        space = build_predicate_space(places, order_predicates=False)
+        for tolerance in (1, 4):
+            tiled = discover_dcs(places, space, max_size=3, max_violations=tolerance)
+            reference = _one_shot(places, space, max_size=3, max_violations=tolerance)
+            assert tiled.constraints == reference.constraints
+            assert tiled.evidence_pairs == reference.evidence_pairs
 
 
 # ----------------------------------------------------------------------

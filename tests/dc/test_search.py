@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.dc.bridge import dc_to_fd, fd_to_dc, fds_among
+from repro.dc.engine import discover_dcs
 from repro.dc.evidence import build_evidence_set
 from repro.dc.model import DCError, DenialConstraint, Operator, Predicate
 from repro.dc.predicates import build_predicate_space
@@ -113,6 +114,21 @@ class TestMining:
         evidence = build_evidence_set(places, space)
         with pytest.raises(DCError):
             mine_denial_constraints(evidence, max_size=0)
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ({"max_violations": -1}, "max_violations must be >= 0"),
+            ({"max_constraints": -1}, "max_constraints must be >= 0"),
+        ],
+    )
+    def test_negative_bounds_rejected(self, places, bounds, message):
+        space = build_predicate_space(places, order_predicates=False)
+        evidence = build_evidence_set(places, space)
+        with pytest.raises(DCError, match=message):
+            mine_denial_constraints(evidence, **bounds)
+        with pytest.raises(DCError, match=message):
+            discover_dcs(places, space, **bounds)
 
     @settings(max_examples=20, deadline=None)
     @given(small_relations(max_rows=8, max_attrs=3))

@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings
 
+from tests.oracles.tane import discover_fds_plain
 from tests.strategies import relations
 from repro.datagen.places import F1, places_relation
-from repro.discovery.tane import discover_fds, discover_fds_plain
+from repro.discovery.tane import discover_fds
 from repro.fd.fd import FunctionalDependency, fd
 from repro.fd.measures import confidence, is_exact
 from repro.relational.relation import Relation
@@ -137,8 +138,8 @@ def test_property_discovered_fds_hold(relation):
 
 
 class TestStrippedVsPlainEngine:
-    """PR-1 acceptance: the stripped-partition lattice engine and the
-    plain distinct-count engine it replaced return identical results."""
+    """The stripped-partition lattice engine and the plain distinct-count
+    oracle (``tests/oracles/tane.py``) return identical results."""
 
     def test_plain_engine_on_places(self):
         places = places_relation()

@@ -7,7 +7,8 @@ random well-typed predicates,
   oracle (:func:`repro.relational.expr.evaluate_predicate`) keeps;
 * the code-space :func:`natural_join` reproduces the retained
   row-at-a-time reference join, output order included;
-* SQL execution via the columnar engine equals the ``rowdict`` engine
+* SQL execution via the columnar executor equals the row-dict
+  interpreter of ``tests/oracles/rowdict.py``
   (``tests/sql/test_columnar_oracle.py`` drives that surface);
 * DC evidence sets agree between the vectorized numpy sweep and the
   reference pair loop.

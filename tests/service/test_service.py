@@ -4,6 +4,7 @@ eviction, retry, and graceful restart."""
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.service import (
     TransientFault,
     UnknownTenantError,
 )
+from repro.service.errors import WalCorruptError
 
 SPEC = TenantSpec(
     tenant_id="acme",
@@ -471,3 +473,34 @@ class TestConfigValidation:
                 attributes=("A",),
                 watches=(),
             )
+
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            ("attributes", "AB", "attributes must be a list of names"),
+            ("attributes", ["Region", 3], "attributes must be a list of names"),
+            ("priority", "high", "priority must be an integer"),
+            ("priority", True, "priority must be an integer"),
+            ("priority", 1.5, "priority must be an integer"),
+            ("history_every", 2.5, "history_every must be a positive integer"),
+            ("history_every", "x", "history_every must be a positive integer"),
+            ("history_every", 0, "history_every must be a positive integer"),
+            ("history_every", True, "history_every must be a positive integer"),
+        ],
+    )
+    def test_tenant_spec_validates_fields(self, field, bad, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(SPEC, **{field: bad})
+        # The same field read back from a spec.json is a corrupt spec.
+        with pytest.raises(WalCorruptError, match=message):
+            TenantSpec.from_json({**SPEC.to_json(), field: bad})
+
+    def test_spec_json_engine_field(self):
+        payload = SPEC.to_json()
+        assert "engine" not in payload
+        assert TenantSpec.from_json(payload) == SPEC
+        # Specs written while the monitor had two engines still load...
+        assert TenantSpec.from_json({**payload, "engine": "delta"}) == SPEC
+        # ...unless they name the removed one.
+        with pytest.raises(WalCorruptError, match="engine 'legacy'"):
+            TenantSpec.from_json({**payload, "engine": "legacy"})

@@ -4,10 +4,10 @@ Random :class:`~repro.sql.ast.SelectQuery` trees — WHERE expressions
 (including arithmetic and IN lists) over nullable columns, projections
 with DISTINCT/LIMIT/OFFSET, aggregates (COUNT/SUM/MIN/MAX/AVG), GROUP
 BY + HAVING, ORDER BY, and inner/left joins — must produce *identical*
-result sets (column labels, row values, row order) on the ``columnar``
-and ``rowdict`` engines, on every installed kernel backend.  The
-``rowdict`` engine is the original tree-walking interpreter, retained
-precisely to serve as this oracle.
+result sets (column labels, row values, row order) from the columnar
+executor and from the original tree-walking interpreter
+(``tests/oracles/rowdict.py``, run on the unoptimized plan), on every
+installed kernel backend.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.relational.relation import Relation
 from repro.sql import ast
 from repro.sql.errors import SqlExecutionError
 from repro.sql.executor import _run, execute, execute_on_relation
+from tests.oracles import rowdict
 
 BACKENDS = kernels.available_backends()
 
@@ -213,8 +214,8 @@ def queries(draw):
 @given(relation=relations(), query=queries())
 def test_columnar_equals_rowdict(backend, relation, query):
     with kernels.use_backend(backend):
-        columnar = _run(relation, query, engine="columnar")
-        oracle = _run(relation, query, engine="rowdict")
+        columnar = _run(relation, query)
+        oracle = rowdict.run(relation, query)
     assert columnar.columns == oracle.columns
     assert columnar.rows == oracle.rows
 
@@ -289,8 +290,8 @@ def test_join_columnar_equals_rowdict(backend, relations_pair, query):
     catalog.add_relation(left)
     catalog.add_relation(right)
     with kernels.use_backend(backend):
-        columnar = execute(catalog, ast_to_result(query), engine="columnar")
-        oracle = execute(catalog, ast_to_result(query), engine="rowdict")
+        columnar = execute(catalog, ast_to_result(query))
+        oracle = rowdict.execute(catalog, ast_to_result(query))
     assert columnar.columns == oracle.columns
     assert columnar.rows == oracle.rows
 
@@ -304,10 +305,10 @@ def ast_to_result(query):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_division_errors_equal_across_engines(backend):
-    """Division by zero raises the *same* message from both engines.
+    """Division by zero raises the *same* message from executor and oracle.
 
-    The columnar engine evaluates WHERE arithmetic via the IR error
-    mask and re-raises from the first erroring row; the rowdict engine
+    The columnar executor evaluates WHERE arithmetic via the IR error
+    mask and re-raises from the first erroring row; the row-dict oracle
     walks rows in ascending order — the messages must agree exactly.
     """
     relation = Relation.from_columns(
@@ -316,10 +317,13 @@ def test_division_errors_equal_across_engines(backend):
     sql = "SELECT A FROM r WHERE A / B > 1"
     with kernels.use_backend(backend):
         errors = {}
-        for engine in ("columnar", "rowdict"):
+        for name, run in (
+            ("columnar", execute_on_relation),
+            ("rowdict", rowdict.execute_on_relation),
+        ):
             with pytest.raises(SqlExecutionError) as info:
-                execute_on_relation(relation, sql, engine=engine)
-            errors[engine] = str(info.value)
+                run(relation, sql)
+            errors[name] = str(info.value)
         assert errors["columnar"] == errors["rowdict"]
         assert "division by zero" in errors["columnar"]
 
@@ -355,7 +359,7 @@ def test_sql_text_both_engines(backend):
     with kernels.use_backend(backend):
         for sql in statements:
             columnar = execute_on_relation(relation, sql)
-            oracle = execute_on_relation(relation, sql, engine="rowdict")
+            oracle = rowdict.execute_on_relation(relation, sql)
             assert columnar.columns == oracle.columns
             assert columnar.rows == oracle.rows
 
@@ -392,7 +396,7 @@ def test_join_sql_text_both_engines(backend):
     with kernels.use_backend(backend):
         for sql in statements:
             columnar = execute(catalog, sql)
-            oracle = execute(catalog, sql, engine="rowdict")
+            oracle = rowdict.execute(catalog, sql)
             assert columnar.columns == oracle.columns, sql
             assert columnar.rows == oracle.rows, sql
 
@@ -411,3 +415,4 @@ def test_null_rows_never_satisfy_equality_but_match_is_null():
                 relation, "SELECT COUNT(*) FROM r WHERE A <> 'missing'"
             )
             assert neq.scalar == 2  # NULL rows fail <> too
+

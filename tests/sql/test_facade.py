@@ -1,19 +1,16 @@
-"""The user-facing surface: ``Database``/``connect``, ``ResultSet``
-conveniences, and the uniform ``engine=`` validation every entry point
-shares (see ``repro.relational.errors.validate_engine``).
-"""
+"""The user-facing surface: ``Database``/``connect`` and ``ResultSet``
+conveniences."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.monitor import FDMonitor
-from repro.dc import DCError, discover_dcs
 from repro.relational.catalog import Catalog
 from repro.relational.relation import Relation
-from repro.sql import Database, SqlExecutionError, connect, execute, execute_plan
+from repro.sql import Database, SqlExecutionError, connect, execute_plan
 from repro.sql.parser import parse
 from repro.sql.plan import plan_query
+from tests.oracles import rowdict
 
 
 @pytest.fixture
@@ -52,7 +49,7 @@ class TestDatabase:
 
     def test_query_both_engines_agree(self, db):
         sql = "SELECT city, COUNT(*) FROM people GROUP BY city ORDER BY city"
-        assert db.query(sql) == db.query(sql, engine="rowdict")
+        assert db.query(sql) == rowdict.execute(db.catalog, sql)
 
     def test_query_plan(self, db):
         plan = plan_query(parse("SELECT name FROM people LIMIT 1"))
@@ -90,32 +87,14 @@ class TestResultSet:
 
 
 class TestEngineValidation:
-    """Every entry point validates ``engine=`` with the same message."""
-
-    MESSAGE = "unknown engine 'nope'; expected one of"
-
-    def test_execute(self, relation):
-        catalog = Catalog()
-        catalog.add_relation(relation)
-        with pytest.raises(SqlExecutionError, match=self.MESSAGE):
-            execute(catalog, "SELECT * FROM people", engine="nope")
+    """``execute_plan`` keeps its positional engine slot; only
+    ``"columnar"`` is accepted."""
 
     def test_execute_plan(self, relation):
         catalog = Catalog()
         catalog.add_relation(relation)
-        plan = plan_query(parse("SELECT * FROM people"))
-        with pytest.raises(SqlExecutionError, match=self.MESSAGE):
-            execute_plan(catalog, plan, engine="nope")
-
-    def test_database_query(self, db):
-        with pytest.raises(SqlExecutionError, match=self.MESSAGE):
-            db.query("SELECT * FROM people", engine="nope")
-
-    def test_discover_dcs(self):
-        relation = Relation.from_columns("r", {"A": [1.0, 2.0]})
-        with pytest.raises(DCError, match=self.MESSAGE):
-            discover_dcs(relation, engine="nope")
-
-    def test_fd_monitor(self, relation):
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            FDMonitor(relation, engine="nope")
+        plan = plan_query(parse("SELECT name FROM people LIMIT 1"))
+        assert execute_plan(catalog, plan, "columnar", "off").rows == (("ann",),)
+        for engine in ("rowdict", "nope"):
+            with pytest.raises(SqlExecutionError, match=f"unknown engine '{engine}'"):
+                execute_plan(catalog, plan, engine)

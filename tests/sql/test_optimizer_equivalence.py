@@ -3,9 +3,11 @@
 ``optimize_plan`` (predicate pushdown, projection pruning, constant
 folding, join reordering) and the zone-map scan skips are rewrites of
 the *physical* work only — for every random query tree, every backend,
-both engines, the optimized execution must produce
-byte-identical results **and byte-identical error messages** to the
-unoptimized oracle path (``optimize="off"`` / ``REPRO_OPTIMIZE=off``).
+on the columnar executor and on the row-dict oracle
+(``tests/oracles/rowdict.py``, fed the plan this module optimizes), the
+optimized execution must produce byte-identical results **and
+byte-identical error messages** to the unoptimized path
+(``optimize="off"`` / ``REPRO_OPTIMIZE=off``).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.sql.optimize import optimize_plan
 from repro.sql.parser import parse
 from repro.sql.plan import plan_query, to_sql
 from repro.sql.stats import StatisticsProvider
+from tests.oracles.rowdict import RowdictEngine
 
 from .test_columnar_oracle import (
     join_queries,
@@ -46,13 +49,33 @@ def _outcome(run):
         return ("error", type(error).__name__, str(error))
 
 
+def _run_on(engine, relation, query, optimize):
+    """One single-table execution on either engine."""
+    if engine == "columnar":
+        return _run(relation, query, optimize=optimize)
+    plan = plan_query(query)
+    if optimize == "on":
+        plan = optimize_plan(plan, StatisticsProvider(relation=relation))
+    return RowdictEngine(None, relation).run(plan)
+
+
+def _execute_on(engine, catalog, sql, optimize):
+    """One catalog execution on either engine."""
+    if engine == "columnar":
+        return execute(catalog, sql, optimize=optimize)
+    plan = plan_query(parse(sql))
+    if optimize == "on":
+        plan = optimize_plan(plan, StatisticsProvider(catalog=catalog))
+    return RowdictEngine(catalog, None).run(plan)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=120, deadline=None)
 @given(relation=relations(), query=queries(), engine=st.sampled_from(ENGINES))
 def test_single_table_equivalence(backend, relation, query, engine):
     with kernels.use_backend(backend):
-        optimized = _outcome(lambda: _run(relation, query, engine, optimize="on"))
-        oracle = _outcome(lambda: _run(relation, query, engine, optimize="off"))
+        optimized = _outcome(lambda: _run_on(engine, relation, query, "on"))
+        oracle = _outcome(lambda: _run_on(engine, relation, query, "off"))
     assert optimized == oracle
 
 
@@ -102,8 +125,8 @@ def test_error_message_equivalence(backend, relation, where, engine):
         order_by=(ast.OrderItem(ast.ColumnRef("I1"), descending=False),),
     )
     with kernels.use_backend(backend):
-        optimized = _outcome(lambda: _run(relation, query, engine, optimize="on"))
-        oracle = _outcome(lambda: _run(relation, query, engine, optimize="off"))
+        optimized = _outcome(lambda: _run_on(engine, relation, query, "on"))
+        oracle = _outcome(lambda: _run_on(engine, relation, query, "off"))
     assert optimized == oracle
 
 
@@ -121,8 +144,8 @@ def test_join_equivalence(backend, relations_pair, query, engine):
     catalog.add_relation(right)
     sql = to_sql(plan_query(query))
     with kernels.use_backend(backend):
-        optimized = _outcome(lambda: execute(catalog, sql, engine, optimize="on"))
-        oracle = _outcome(lambda: execute(catalog, sql, engine, optimize="off"))
+        optimized = _outcome(lambda: _execute_on(engine, catalog, sql, "on"))
+        oracle = _outcome(lambda: _execute_on(engine, catalog, sql, "off"))
     assert optimized == oracle
 
 
@@ -163,8 +186,8 @@ def test_join_reorder_equivalence(backend, engine):
         "WHERE fact.v >= 5 ORDER BY fact.v"
     )
     with kernels.use_backend(backend):
-        optimized = execute(catalog, sql, engine, optimize="on")
-        oracle = execute(catalog, sql, engine, optimize="off")
+        optimized = _execute_on(engine, catalog, sql, "on")
+        oracle = _execute_on(engine, catalog, sql, "off")
     assert optimized.columns == oracle.columns
     assert optimized.rows == oracle.rows
     # The cost model must actually reorder here: dim1 (4 distinct k1
