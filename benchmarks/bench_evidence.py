@@ -34,6 +34,7 @@ from typing import Any
 import pytest
 from conftest import run_once
 
+from repro.core.config import use_engine
 from repro.bench.tables import render_rows
 from repro.dc.engine import build_evidence_tiled, discover_dcs
 from repro.dc.evidence import build_evidence_set
@@ -192,7 +193,7 @@ def test_python_backend_parity(benchmark, show, bench_results):
     with a loose floor so a catastrophic regression cannot hide."""
 
     def run():
-        with kernels.use_backend("python"):
+        with use_engine(backend="python"):
             return _run_ablation(bench_results, "python", _PY_SIZES)
 
     rows, totals = run_once(benchmark, run)

@@ -40,6 +40,7 @@ import time
 
 from conftest import run_once
 
+from repro.core.config import use_engine
 from repro.bench.tables import render_rows
 from repro.core.monitor import FDMonitor
 from repro.eb.entropy import entropy, entropy_of
@@ -131,7 +132,7 @@ def _run_prefix(backend: str) -> dict:
     dep = fd("Branch -> Tax")
     spec = TemporalFD(dep, window_size=_PREFIX_STEP, mode=WindowMode.PREFIX)
 
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         log = TupleLog(schema, rows)
         start = time.perf_counter()
         series = assess_over_log(log, spec)
@@ -169,7 +170,7 @@ def _run_drift(backend: str) -> dict:
     schema = RelationSchema("stream", ["Branch", "Class", "Tax"])
     watched = [fd("Branch -> Tax"), fd("[Branch, Class] -> Tax"), fd("Class -> Tax")]
 
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         start = time.perf_counter()
         monitor = FDMonitor(schema, default_threshold=0.8)
         states = [monitor.watch(dependency) for dependency in watched]

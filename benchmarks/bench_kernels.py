@@ -25,6 +25,7 @@ import time
 import pytest
 from conftest import run_once
 
+from repro.core.config import use_engine
 from repro.bench.tables import render_rows
 from repro.datagen.synthetic import random_relation
 from repro.datagen.tpch import generate_table
@@ -110,7 +111,7 @@ def test_kernel_backend_ablation(benchmark, show, bench_results):
             timings = {}
             outputs = {}
             for backend in ("python", "numpy"):
-                with kernels.use_backend(backend):
+                with use_engine(backend=backend):
                     # Fresh columns per backend so encoding/code-array
                     # conversion costs are not charged to the kernels.
                     for name in (a, b, c):
@@ -168,7 +169,7 @@ def test_discovery_end_to_end_ablation(benchmark, show, bench_results):
         timings = {}
         outputs = {}
         for backend in ("python", "numpy"):
-            with kernels.use_backend(backend):
+            with use_engine(backend=backend):
                 relation.stats.clear()
                 start = time.perf_counter()
                 result = discover_fds(relation, max_lhs_size=3)

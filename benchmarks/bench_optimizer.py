@@ -1,17 +1,21 @@
 """Optimizer ablation: optimized vs unoptimized execution (PR 10).
 
-Two measurements, both cross-checked result-for-result against the
-``optimize="off"`` oracle before any timing is trusted:
+Two measurements, both cross-checked result-for-result against an
+unoptimized oracle before any timing is trusted:
 
 * **plan workload** — the seeded TPC-H query stream
   (:func:`repro.datagen.queries.generate_workload`) through the
-  columnar engine with the optimizer on and off.  Pushdown, pruning
+  columnar engine, optimized (``execute``) and as planned
+  (``execute_plan`` on the raw ``plan_query`` plan).  Pushdown, pruning
   and join reordering must never *lose* time in aggregate.
 * **store scans** — selective point/range ``orderkey`` predicates over
-  a chunked on-disk ``lineitem`` store.  Rows arrive orderkey-ascending
-  so every chunk covers a narrow key band; the zone maps must skip at
-  least half the chunks, and the optimized scans must be ≥2× faster in
-  aggregate on the numpy backend at default (non-smoke) sizes.
+  a chunked on-disk ``lineitem`` store, checked against the same SQL
+  over the store materialized in memory.  Rows arrive
+  orderkey-ascending so every chunk covers a narrow key band; the zone
+  maps must skip at least half the chunks, and the skipping scans must
+  be ≥2× faster in aggregate than full scans (``scan_store`` without a
+  WHERE, the statement then run in memory) on the numpy backend at
+  default (non-smoke) sizes.
 
 Totals and chunks-skipped ratios land in ``BENCH_results.json`` via the
 session fixture.
@@ -29,8 +33,8 @@ from repro.bench.tables import render_rows
 from repro.datagen import generate_tpch, generate_workload
 from repro.datagen.tpch import generate_to_store
 from repro.relational import kernels
-from repro.sql import execute, use_optimize
-from repro.storage.sqlbridge import ScanStats, query_store
+from repro.sql import execute, execute_on_relation, execute_plan, parse, plan_query
+from repro.storage.sqlbridge import ScanStats, query_store, scan_store
 
 _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -46,9 +50,14 @@ def test_optimizer_plan_workload(benchmark, show, bench_results):
     queries = generate_workload(catalog, count=_COUNT, seed=_SEED)
 
     # Correctness first: the oracle must agree on every stream member.
+    def _run(query, optimize: str):
+        if optimize == "on":
+            return execute(catalog, query.sql)
+        return execute_plan(catalog, plan_query(parse(query.sql)))
+
     for query in queries:
-        optimized = execute(catalog, query.sql, optimize="on")
-        oracle = execute(catalog, query.sql, optimize="off")
+        optimized = _run(query, "on")
+        oracle = _run(query, "off")
         assert optimized.columns == oracle.columns, query.name
         assert optimized.rows == oracle.rows, query.name
 
@@ -56,7 +65,7 @@ def test_optimizer_plan_workload(benchmark, show, bench_results):
         total = 0.0
         for query in queries:
             start = time.perf_counter()
-            execute(catalog, query.sql, optimize=optimize)
+            _run(query, optimize)
             total += time.perf_counter() - start
         return total
 
@@ -113,30 +122,35 @@ def test_optimizer_store_scans(benchmark, show, bench_results, tmp_path):
                 f"WHERE {where} ORDER BY orderkey, partkey"
             )
 
+        # The unskipped side reads every chunk (no WHERE, so no zone
+        # maps) and runs the same statement on the result in memory.
+        columns = ("orderkey", "partkey", "quantity")
+
+        def _full_scan(sql: str):
+            return execute_on_relation(scan_store(store, columns=columns), sql)
+
+        in_memory = store.to_relation()
         for sql in sqls:
             optimized = query_store(store, sql)
-            with use_optimize("off"):
-                oracle = query_store(store, sql)
+            oracle = execute_on_relation(in_memory, sql)
             assert optimized.rows == oracle.rows, sql
+            assert _full_scan(sql).rows == oracle.rows, sql
 
         stats = ScanStats()
 
-        def _total(optimize: str) -> float:
+        def _total(skip: bool) -> float:
             total = 0.0
             for _ in range(_SCAN_REPEATS):
                 for sql in sqls:
                     start = time.perf_counter()
-                    if optimize == "on":
+                    if skip:
                         query_store(store, sql, scan_stats=stats)
                     else:
-                        with use_optimize("off"):
-                            query_store(store, sql)
+                        _full_scan(sql)
                     total += time.perf_counter() - start
             return total
 
-        totals = run_once(
-            benchmark, lambda: {"on": _total("on"), "off": _total("off")}
-        )
+        totals = run_once(benchmark, lambda: {"on": _total(True), "off": _total(False)})
     finally:
         store.close()
 
@@ -147,7 +161,7 @@ def test_optimizer_store_scans(benchmark, show, bench_results, tmp_path):
         render_rows(
             [
                 {
-                    "optimize": mode,
+                    "zone maps": mode,
                     "queries": _SCAN_QUERIES * _SCAN_REPEATS,
                     "seconds": round(seconds, 4),
                 }
@@ -177,6 +191,6 @@ def test_optimizer_store_scans(benchmark, show, bench_results, tmp_path):
     )
     floor = 2.0 if (not _SMOKE and backend == "numpy") else 1.0
     assert speedup >= floor, (
-        f"optimized store scans only {speedup:.2f}x faster "
+        f"skipping store scans only {speedup:.2f}x faster than full scans "
         f"(need >= {floor}x): {totals['on']:.4f}s vs {totals['off']:.4f}s"
     )

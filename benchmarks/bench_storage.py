@@ -34,6 +34,7 @@ import tracemalloc
 
 from conftest import run_once
 
+from repro.core.config import use_engine
 from repro.bench.tables import render_rows
 from repro.bench.timing import Timer
 from repro.datagen import tpch
@@ -70,7 +71,7 @@ def _profile_pass(store, backend: str) -> dict:
         else _TANE_ATTRS
     )
     sample = 600 if _FULL and backend == "python" else 2_000
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         tracemalloc.start()
         with Timer() as timer:
             stats = group_stats(store, ("partkey", "suppkey"), mode="exact")
@@ -180,7 +181,7 @@ def test_exact_vs_sketch_accuracy(show, bench_results, tmp_path):
     store = stores["lineitem"]
     rows = []
     for backend in kernels.available_backends():
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             for attrs in (("partkey", "suppkey"), ("orderkey", "linenumber")):
                 exact = distinct_count(store, attrs, mode="exact")
                 sketch = distinct_count(store, attrs, mode="sketch")

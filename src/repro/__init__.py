@@ -46,6 +46,7 @@ from .core import (
     find_fd_repairs,
     find_first_repair,
     find_repairs,
+    use_engine,
     validate_catalog,
     validate_relation,
 )
@@ -89,6 +90,11 @@ __all__ = [
     "places_catalog",
     "places_relation",
     "save_csv",
+    "use_engine",
     "validate_catalog",
     "validate_relation",
 ]
+
+# The REPRO_* engine variables are read once per process: importing the
+# package installs them (a bad value fails the import).
+EngineConfig.from_env().activate()

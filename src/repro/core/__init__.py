@@ -11,12 +11,18 @@ System S4 in DESIGN.md.  Public API:
 * :class:`RepairSession` — the semi-automatic designer loop;
 * :class:`RepairConfig` — all the knobs of Section 4.4, including the
   goodness-threshold extension;
-* :class:`EngineConfig` — kernel-backend selection for the relational
-  hot paths (python reference loops vs vectorized numpy).
+* :class:`EngineConfig` / :func:`use_engine` — the engine knobs (kernel
+  backend, cache bounds, DC tile, approx mode) and a scoped override.
 """
 
 from .candidates import Candidate, candidate_rank_key, extend_by_one, order_key
-from .config import CandidateOrder, EngineConfig, GoodnessMode, RepairConfig
+from .config import (
+    CandidateOrder,
+    EngineConfig,
+    GoodnessMode,
+    RepairConfig,
+    use_engine,
+)
 from .monitor import FDAlert, FDMonitor, MonitoredFD
 from .objective import RepairObjective, accept_by_objective, rank_by_objective
 from .repair import (
@@ -67,6 +73,7 @@ __all__ = [
     "find_fd_repairs",
     "find_first_repair",
     "find_repairs",
+    "use_engine",
     "validate_catalog",
     "validate_relation",
 ]

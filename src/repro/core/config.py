@@ -18,57 +18,160 @@ paragraph of Section 4:
 * ``max_expansions`` — a safety budget on queue pops for benchmarking
   very wide relations; ``None`` means unbounded (paper behaviour).
 
-:class:`EngineConfig` is the engine-level companion: it selects the
-kernel backend (:mod:`repro.relational.kernels`) the relational hot
-paths run on — ``python`` (stdlib reference loops) or ``numpy``
-(vectorized, the ``[fast]`` extra).  The ``REPRO_BACKEND`` environment
-variable overrides the default resolution; an activated
-:class:`EngineConfig` overrides both.  ``approx`` selects the profiling
-estimator family the same way — ``"exact"`` kernels or the
-:mod:`repro.sketch` sketches (``$REPRO_APPROX``).
+:class:`EngineConfig` is the engine-level companion: it is the one place
+that names, validates, defaults and installs an engine knob (kernel
+backend, cache bounds, DC tile, approx mode).  :data:`_KNOBS` holds one
+row per field — its environment variable, check and installer — and
+the constructor, :meth:`EngineConfig.from_env` and
+:meth:`EngineConfig.activate` are loops over it.  The ``REPRO_*``
+variables are read once per process: ``import repro`` activates
+``EngineConfig.from_env()``.  :func:`use_engine` scopes an override.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import importlib
+import os
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from types import ModuleType
 
+from repro import sketch
+from repro.dc import engine as dc_engine
 from repro.relational import kernels, statistics
+from repro.relational.errors import KernelBackendError, _positive_int
 
-__all__ = ["EngineConfig", "GoodnessMode", "RepairConfig"]
+__all__ = ["EngineConfig", "GoodnessMode", "RepairConfig", "use_engine"]
+
+
+def _one_of(*choices: str) -> Callable[[str, object], None]:
+    spelled = ", ".join(map(repr, choices[:-1])) + f" or {choices[-1]!r}"
+
+    def check(field: str, value: object) -> None:
+        if value not in choices:
+            raise ValueError(f"{field} must be {spelled}, got {value!r}")
+
+    return check
+
+
+def _validate_limit(field: str, value: object) -> None:
+    """Reject a cache bound that is not a positive ``int`` or ``None``."""
+    if value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{field} must be a positive integer or None, got {value!r}")
+
+
+def _int_or_text(text: str) -> object:
+    """An integer variable's value; unparsable text goes on to the check."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
+def _backend_name(name: str) -> str:
+    """The concrete backend ``name`` selects; ``"auto"`` probes for NumPy."""
+    if name == "auto":
+        return "numpy" if kernels.numpy_available() else "python"
+    return name
+
+
+def _backend_module(name: str) -> ModuleType:
+    name = _backend_name(name)
+    if name == "numpy" and not kernels.numpy_available():
+        raise KernelBackendError(
+            "numpy",
+            "NumPy is not installed; install the [fast] extra or select "
+            "the python backend",
+        )
+    return importlib.import_module(f"{kernels.__name__}.{name}_backend")
+
+
+def _into(
+    module: ModuleType, name: str, convert: Callable[[object], object] | None = None
+) -> Callable[[object], None]:
+    """An installer writing a knob's value into ``module.name``."""
+
+    def install(value: object) -> None:
+        setattr(module, name, value if convert is None else convert(value))
+
+    return install
+
+
+@dataclass(frozen=True)
+class _Knob:
+    field: str
+    env: str | None
+    check: Callable[[str, object], None]
+    install: Callable[[object], None]
+    parse: Callable[[str], object] = str
+
+
+#: One row per :class:`EngineConfig` field.  ``backend`` comes first:
+#: its installer is the only one that can fail (NumPy missing), so a
+#: failed :meth:`EngineConfig.activate` leaves every knob as it was.
+_KNOBS = (
+    _Knob(
+        "backend",
+        "REPRO_BACKEND",
+        _one_of("auto", "python", "numpy"),
+        _into(kernels, "_backend", _backend_module),
+    ),
+    _Knob(
+        "partition_cache_size",
+        None,
+        _validate_limit,
+        _into(statistics, "_partition_cache_limit"),
+    ),
+    _Knob(
+        "delta_track_limit",
+        None,
+        _validate_limit,
+        _into(statistics, "_tracker_limit"),
+    ),
+    _Knob(
+        "dc_tile",
+        "REPRO_DC_TILE",
+        _positive_int,
+        _into(dc_engine, "_tile"),
+        parse=_int_or_text,
+    ),
+    _Knob(
+        "approx",
+        "REPRO_APPROX",
+        _one_of("exact", "sketch"),
+        _into(sketch, "_approx"),
+    ),
+)
+
+#: The config last activated (``import repro`` activates the first).
+_active: EngineConfig | None = None
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Engine-level settings: backend selection and cache bounds.
+    """Engine-level settings: kernel backend, cache bounds, tile, approx.
 
     ``backend`` is ``"auto"`` (numpy when installed, else python),
-    ``"python"``, or ``"numpy"``.  ``partition_cache_size`` bounds the
-    per-relation stripped-partition LRU (generous by default: a
-    30-attribute discovery at LHS ≤ 3 caches ~4.5k sets and must not
-    thrash); ``delta_track_limit`` bounds how many attribute sets the
-    delta engine maintains incrementally per relation.  ``None`` means
-    unbounded.  ``dc_tile`` is the edge length (representative rows) of
-    the DC evidence engine's pair-space blocks — larger tiles amortize
-    kernel dispatch, smaller ones bound peak memory.  Construction only
-    validates; :meth:`activate` installs the choices process-wide
-    (backend via :func:`repro.relational.kernels.set_backend`, taking
-    precedence over the ``REPRO_BACKEND`` environment variable; cache
-    bounds via :func:`repro.relational.statistics.configure_caches`;
-    the tile via :func:`repro.dc.engine.set_tile`, taking precedence
-    over ``REPRO_DC_TILE``).  ``approx`` picks the profiling estimator
-    family for the out-of-core layer (:mod:`repro.storage.profile`):
-    ``"exact"`` (spill-merge kernels, the default) or ``"sketch"``
+    ``"python"``, or ``"numpy"`` ($REPRO_BACKEND).
+    ``partition_cache_size`` bounds the per-relation stripped-partition
+    LRU — generous by default: a 30-attribute discovery at LHS ≤ 3
+    caches C(30,1) + C(30,2) + C(30,3) = 4525 sets and must not thrash.
+    ``delta_track_limit`` bounds how many attribute sets the delta
+    engine maintains incrementally per relation; the monitoring path
+    tracks a handful per watched FD, so 64 covers ~20 FDs.  ``None``
+    means unbounded for both.  ``dc_tile`` is the edge length
+    (representative rows) of the DC evidence engine's pair-space blocks
+    ($REPRO_DC_TILE): larger tiles amortize kernel dispatch, smaller
+    ones bound peak memory.  ``approx`` picks the profiling estimator
+    family of :mod:`repro.storage.profile` and the optimizer's
+    statistics ($REPRO_APPROX): ``"exact"`` or ``"sketch"``
     (:mod:`repro.sketch` HyperLogLog + seeded samples with stated error
-    bounds), installed via
-    :func:`repro.sketch.set_approx` and taking precedence over
-    ``REPRO_APPROX``.  ``optimize`` switches the PR-10 query optimizer
-    (plan rewrites in :mod:`repro.sql.optimize` plus zone-map chunk
-    skipping in :mod:`repro.storage.sqlbridge`): ``"on"`` (the default)
-    or ``"off"`` (the unoptimized oracle path the equivalence suite
-    compares against), installed via
-    :func:`repro.sql.optimize.set_optimize` and taking precedence over
-    ``REPRO_OPTIMIZE``.
+    bounds).  Construction only validates; :meth:`activate` installs
+    the choices process-wide.
     """
 
     backend: str = "auto"
@@ -76,92 +179,40 @@ class EngineConfig:
     delta_track_limit: int | None = 64
     dc_tile: int = 4096
     approx: str = "exact"
-    optimize: str = "on"
 
     def __post_init__(self) -> None:
-        if self.backend not in ("auto", "python", "numpy"):
-            raise ValueError(
-                f"backend must be 'auto', 'python' or 'numpy', got {self.backend!r}"
-            )
-        statistics._validate_limit("partition_cache_size", self.partition_cache_size)
-        statistics._validate_limit("delta_track_limit", self.delta_track_limit)
-        if (
-            isinstance(self.dc_tile, bool)
-            or not isinstance(self.dc_tile, int)
-            or self.dc_tile < 1
-        ):
-            raise ValueError(
-                f"dc_tile must be a positive integer, got {self.dc_tile!r}"
-            )
-        if self.approx not in ("exact", "sketch"):
-            raise ValueError(
-                f"approx must be 'exact' or 'sketch', got {self.approx!r}"
-            )
-        if self.optimize not in ("on", "off"):
-            raise ValueError(
-                f"optimize must be 'on' or 'off', got {self.optimize!r}"
-            )
+        for knob in _KNOBS:
+            knob.check(knob.field, getattr(self, knob.field))
 
     @classmethod
     def from_env(cls) -> "EngineConfig":
-        """Build a config from the ``REPRO_*`` environment knobs.
+        """Build a config from the ``REPRO_*`` environment variables.
 
-        Every knob is validated with the *same* message the constructor
-        raises (plus the variable it came from), so a typo in a service
-        unit file reads identically to a typo in code:
-
-        * ``REPRO_BACKEND``  → :attr:`backend`
-        * ``REPRO_DC_TILE``  → :attr:`dc_tile`
-        * ``REPRO_APPROX``   → :attr:`approx`
-        * ``REPRO_OPTIMIZE`` → :attr:`optimize`
-
-        Unset variables keep the dataclass defaults.  Invalid values
-        raise :class:`ValueError` (or
-        :class:`~repro.relational.errors.KernelBackendError` for the
-        backend, its established type) immediately — misconfiguration
-        surfaces at startup, not at first use deep in a request.
+        Unset (or empty) variables keep the defaults.  A bad value
+        raises the constructor's :class:`ValueError` with
+        ``(from $VAR)`` appended, so a typo in a service unit file reads
+        like a typo in code.
         """
-        import os
-
-        from repro import sketch
-        from repro.dc import engine as dc_engine
-        from repro.sql import optimize as sql_optimize
-
-        overrides: dict[str, object] = {}
-        backend = os.environ.get(kernels.BACKEND_ENV_VAR)
-        if backend:
-            overrides["backend"] = kernels._normalize(
-                backend, f"${kernels.BACKEND_ENV_VAR}"
-            )
-        tile = os.environ.get(dc_engine.TILE_ENV_VAR)
-        if tile:
+        values: dict[str, object] = {}
+        for knob in _KNOBS:
+            text = os.environ.get(knob.env) if knob.env else None
+            if not text:
+                continue
+            value = knob.parse(text)
             try:
-                value = int(tile)
-            except ValueError:
-                raise ValueError(
-                    f"dc_tile must be a positive integer, got {tile!r} "
-                    f"(from ${dc_engine.TILE_ENV_VAR})"
-                ) from None
-            overrides["dc_tile"] = dc_engine._validate_tile(
-                value, f"${dc_engine.TILE_ENV_VAR}"
-            )
-        approx = os.environ.get(sketch.APPROX_ENV_VAR)
-        if approx:
-            overrides["approx"] = sketch._normalize(
-                approx, f"${sketch.APPROX_ENV_VAR}"
-            )
-        optimize = os.environ.get(sql_optimize.OPTIMIZE_ENV_VAR)
-        if optimize:
-            overrides["optimize"] = sql_optimize._normalize(
-                optimize, f"${sql_optimize.OPTIMIZE_ENV_VAR}"
-            )
-        return cls(**overrides)
+                knob.check(knob.field, value)
+            except ValueError as error:
+                raise ValueError(f"{error} (from ${knob.env})") from None
+            values[knob.field] = value
+        return cls(**values)
 
     def resolve(self) -> str:
-        """The concrete backend name this config would run on."""
-        if self.backend == "auto":
-            return "numpy" if kernels.numpy_available() else "python"
-        return self.backend
+        """The concrete backend name this config would run on.
+
+        Loads nothing and never raises: ``"numpy"`` resolves to itself
+        even where NumPy is missing (:meth:`activate` reports that).
+        """
+        return _backend_name(self.backend)
 
     def activate(self) -> None:
         """Install this config's choices process-wide.
@@ -169,18 +220,25 @@ class EngineConfig:
         Raises :class:`~repro.relational.errors.KernelBackendError` if
         ``numpy`` is requested but not installed.
         """
-        from repro import sketch
-        from repro.dc import engine as dc_engine
-        from repro.sql import optimize as sql_optimize
+        global _active
+        for knob in _KNOBS:
+            knob.install(getattr(self, knob.field))
+        _active = self
 
-        kernels.set_backend(self.backend)
-        statistics.configure_caches(
-            partition_cache_size=self.partition_cache_size,
-            delta_track_limit=self.delta_track_limit,
-        )
-        dc_engine.set_tile(self.dc_tile)
-        sketch.set_approx(self.approx)
-        sql_optimize.set_optimize(self.optimize)
+
+@contextmanager
+def use_engine(**changes: object) -> Iterator[EngineConfig]:
+    """Activate the active config with ``changes`` for a ``with`` block.
+
+    The previous config is activated again on exit, also on error.
+    """
+    previous = _active
+    config = replace(previous, **changes)
+    config.activate()
+    try:
+        yield config
+    finally:
+        previous.activate()
 
 
 class GoodnessMode(enum.Enum):
@@ -229,6 +287,19 @@ class RepairConfig:
     candidate_order: CandidateOrder = CandidateOrder.RANK
 
     def __post_init__(self) -> None:
+        for name in ("max_added_attributes", "goodness_threshold", "max_expansions"):
+            value = getattr(self, name)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, int)
+            ):
+                raise ValueError(f"{name} must be an int or None, got {value!r}")
+        for name, kind in (
+            ("goodness_mode", GoodnessMode),
+            ("candidate_order", CandidateOrder),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
         if self.max_added_attributes is not None and self.max_added_attributes < 1:
             raise ValueError("max_added_attributes must be >= 1 or None")
         if self.goodness_threshold is not None and self.goodness_threshold < 0:

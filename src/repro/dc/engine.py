@@ -8,8 +8,8 @@ full O(m²) evidence construction even when it only needs to check a
 handful of candidate DCs.  This module removes both:
 
 * **Tiling** — the pair space is partitioned into fixed-size blocks
-  (``tile × tile`` representative rows, default 4096, the
-  ``REPRO_DC_TILE`` / :class:`repro.core.config.EngineConfig` knob) and
+  (``tile × tile`` representative rows, the ``dc_tile`` knob of
+  :class:`repro.core.config.EngineConfig`, default 4096) and
   each block is evaluated fully vectorized through the active kernel
   backend's ``evidence_sweep``.  Peak additional memory is bounded by
   the block chunk plus the distinct-evidence map — never O(m²).
@@ -35,13 +35,11 @@ handful of candidate DCs.  This module removes both:
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.relational import kernels
+from repro.relational.errors import _positive_int
 from repro.relational.relation import Relation
 
 from .evidence import (
@@ -58,21 +56,10 @@ from .search import DCDiscoveryResult, mine_denial_constraints
 
 __all__ = [
     "DEFAULT_SAMPLE_PAIRS",
-    "DEFAULT_TILE",
-    "TILE_ENV_VAR",
     "build_evidence_tiled",
     "dc_violating_pairs",
     "discover_dcs",
-    "effective_tile",
-    "set_tile",
-    "use_tile",
 ]
-
-#: Default edge length of a pair-space block, in representative rows.
-DEFAULT_TILE = 4096
-
-#: Environment variable overriding the default tile size.
-TILE_ENV_VAR = "REPRO_DC_TILE"
 
 #: Default representative-pair budget of the sample-then-verify loop.
 DEFAULT_SAMPLE_PAIRS = 50_000
@@ -80,8 +67,9 @@ DEFAULT_SAMPLE_PAIRS = 50_000
 #: How many violating pairs feed back per failed candidate per round.
 _REFINE_PAIRS = 8
 
-#: In-process override installed by :func:`set_tile`.
-_forced_tile: int | None = None
+#: Edge length of a pair-space block, in representative rows, when no
+#: ``tile=`` is passed; ``EngineConfig.activate`` writes it.
+_tile: int
 
 _OPCODE = {
     Operator.EQ: 0,
@@ -91,55 +79,6 @@ _OPCODE = {
     Operator.GT: 4,
     Operator.GE: 5,
 }
-
-
-def _validate_tile(tile: object, source: str) -> int:
-    if isinstance(tile, bool) or not isinstance(tile, int) or tile < 1:
-        # Same message as EngineConfig's constructor validation, plus
-        # the source, so every configuration path reads identically.
-        raise ValueError(
-            f"dc_tile must be a positive integer, got {tile!r} (from {source})"
-        )
-    return tile
-
-
-def set_tile(tile: int | None) -> None:
-    """Force a tile size in-process (overrides ``REPRO_DC_TILE``).
-
-    ``None`` removes the override.  :meth:`EngineConfig.activate`
-    installs its ``dc_tile`` through this.
-    """
-    global _forced_tile
-    _forced_tile = None if tile is None else _validate_tile(tile, "set_tile()")
-
-
-def effective_tile() -> int:
-    """The tile size the engine would use now (override > env > default)."""
-    if _forced_tile is not None:
-        return _forced_tile
-    env = os.environ.get(TILE_ENV_VAR)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(
-                f"dc_tile must be a positive integer, got {env!r} "
-                f"(from ${TILE_ENV_VAR})"
-            ) from None
-        return _validate_tile(value, f"${TILE_ENV_VAR}")
-    return DEFAULT_TILE
-
-
-@contextmanager
-def use_tile(tile: int | None) -> Iterator[None]:
-    """Scoped :func:`set_tile` (tests and benches use this)."""
-    global _forced_tile
-    previous = _forced_tile
-    set_tile(tile)
-    try:
-        yield
-    finally:
-        _forced_tile = previous
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +159,7 @@ def build_evidence_tiled(
     permutation sample; duplicate-class-internal pairs are always
     summarized), flagged honestly via ``sampled``.
     """
-    tile = effective_tile() if tile is None else _validate_tile(tile, "tile=")
+    tile = _tile if tile is None else _positive_int("tile", tile)
     n = relation.num_rows
     total_unordered = n * (n - 1) // 2
     counts: dict[int, int] = {}
@@ -341,7 +280,7 @@ def discover_dcs(
     """
     if space is None:
         space = build_predicate_space(relation, order_predicates=order_predicates)
-    tile = effective_tile() if tile is None else _validate_tile(tile, "tile=")
+    tile = _tile if tile is None else _positive_int("tile", tile)
     if max_violations:
         evidence = build_evidence_tiled(
             relation, space, max_pairs=sample_pairs, tile=tile
@@ -453,7 +392,7 @@ def dc_violating_pairs(
     O(pairs · |DC attrs| / SIMD); pair order follows the block sweep,
     not the row-major reference enumeration.  ``limit`` truncates.
     """
-    tile = effective_tile() if tile is None else _validate_tile(tile, "tile=")
+    tile = _tile if tile is None else _positive_int("tile", tile)
     space = PredicateSpace(relation.name, tuple(dc.predicates))
     pair_space = _pair_space(relation, space, collapse=False)
     backend = kernels.get_backend()

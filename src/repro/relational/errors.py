@@ -102,10 +102,9 @@ class ArityError(ReproError):
 class KernelBackendError(ReproError):
     """A kernel backend was requested that cannot be used.
 
-    Raised when an unknown backend name is configured, or when the
-    ``numpy`` backend is selected explicitly (``REPRO_BACKEND=numpy`` or
-    :func:`repro.relational.kernels.set_backend`) but NumPy is not
-    installed.  The ``auto`` selection never raises — it silently falls
+    Raised when the ``numpy`` backend is selected explicitly
+    (``REPRO_BACKEND=numpy`` or ``EngineConfig(backend="numpy")``) but
+    NumPy is not installed.  The ``auto`` selection never raises — it silently falls
     back to the pure-Python kernels.
     """
 
@@ -114,3 +113,13 @@ class KernelBackendError(ReproError):
         self.backend = backend
         self.reason = reason
 
+
+def _positive_int(field: str, value: object) -> int:
+    """Return ``value`` if it is a positive ``int``, else raise ``ValueError``.
+
+    The one check of the engine's integer knobs: ``EngineConfig.dc_tile``
+    and the per-call ``tile=`` arguments of :mod:`repro.dc.engine`.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{field} must be a positive integer, got {value!r}")
+    return value

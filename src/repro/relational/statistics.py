@@ -21,9 +21,8 @@ are immutable (every derivation builds a new :class:`Relation`, and
 therefore a new statistics object), neither cache can ever go stale;
 the only invalidation rule is :meth:`clear`, which callers use to reset
 cost accounting between benchmark phases.  The partition cache is an LRU
-bounded by :func:`configure_caches` (installed by
-``EngineConfig.activate``) so long monitoring runs cannot grow memory
-without bound; hit/miss/eviction counters sit next to
+bounded by ``EngineConfig.partition_cache_size`` so long monitoring
+runs cannot grow memory without bound; hit/miss/eviction counters sit next to
 ``executed_count_queries``.
 
 The third layer is the **delta engine**
@@ -53,59 +52,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .encoding import EncodedColumn
     from .schema import RelationSchema
 
-__all__ = [
-    "RelationStatistics",
-    "configure_caches",
-    "partition_cache_limit",
-    "tracker_limit",
-]
+__all__ = ["RelationStatistics"]
 
-#: Default bound on cached stripped partitions per relation — generous:
-#: a 30-attribute discovery at LHS ≤ 3 caches ~4.5k sets and must not
-#: thrash (C(30,1) + C(30,2) + C(30,3) = 4525 < 8192).
-_DEFAULT_PARTITION_CACHE_LIMIT = 8192
-#: Default bound on delta-maintained group trackers per relation; the
-#: monitoring path tracks a handful of sets per watched FD, so 64 sets
-#: already covers ~20 FDs.
-_DEFAULT_TRACKER_LIMIT = 64
-
-_partition_cache_limit: int | None = _DEFAULT_PARTITION_CACHE_LIMIT
-_tracker_limit: int | None = _DEFAULT_TRACKER_LIMIT
-
-
-def _validate_limit(name: str, value: object) -> None:
-    """Reject a cache bound that is not a positive ``int`` or ``None``."""
-    if value is None:
-        return
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be a positive integer or None, got {value!r}")
-
-
-def configure_caches(
-    partition_cache_size: int | None = _DEFAULT_PARTITION_CACHE_LIMIT,
-    delta_track_limit: int | None = _DEFAULT_TRACKER_LIMIT,
-) -> None:
-    """Install process-wide cache bounds (``None`` = unbounded).
-
-    ``repro.core.config.EngineConfig.activate`` is the public entry
-    point; the bounds apply to statistics objects from then on (already
-    cached entries are trimmed lazily at the next insertion).
-    """
-    global _partition_cache_limit, _tracker_limit
-    _validate_limit("partition_cache_size", partition_cache_size)
-    _validate_limit("delta_track_limit", delta_track_limit)
-    _partition_cache_limit = partition_cache_size
-    _tracker_limit = delta_track_limit
-
-
-def partition_cache_limit() -> int | None:
-    """The active bound on cached partitions per relation."""
-    return _partition_cache_limit
-
-
-def tracker_limit() -> int | None:
-    """The active bound on delta trackers per relation."""
-    return _tracker_limit
+#: Bounds on cached partitions and on delta trackers per relation
+#: (``None`` = unbounded); ``EngineConfig.activate`` writes them.
+_partition_cache_limit: int | None
+_tracker_limit: int | None
 
 
 class RelationStatistics:

@@ -11,18 +11,15 @@ reservoirs — never ``hash()``):
   returning a :class:`~repro.sketch.sample.SampleEstimate` with its
   stated bound.
 
-The process-wide **approx mode** mirrors the kernel-backend switch:
-``"exact"`` (default) or ``"sketch"``.  The chunked profiling layer
-(:mod:`repro.storage.profile`) consults :func:`active_approx` to pick
-between exact spill-merge kernels and these sketches; it is installed
-by ``EngineConfig(approx=...)`` / ``$REPRO_APPROX`` and scoped in tests
-with :func:`use_approx`.
+The process-wide **approx mode** is ``"exact"`` or ``"sketch"``, set
+only through ``EngineConfig(approx=...)`` (``$REPRO_APPROX``), whose
+activation writes the private module global ``_approx``.  The chunked profiling layer
+(:mod:`repro.storage.profile`) and the optimizer's statistics read it to
+pick between exact kernels and these sketches.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from typing import Any, Iterable
 
 from .hll import HyperLogLog, hash_value, splitmix64
@@ -34,58 +31,24 @@ from .sample import (
 )
 
 __all__ = [
-    "APPROX_ENV_VAR",
     "DEFAULT_PRECISION",
     "HyperLogLog",
     "Reservoir",
     "SampleEstimate",
-    "active_approx",
     "entropy_estimate",
     "estimate_distinct",
     "hash_value",
-    "set_approx",
     "splitmix64",
-    "use_approx",
     "violating_pairs_estimate",
 ]
-
-APPROX_ENV_VAR = "REPRO_APPROX"
 
 #: Default HLL precision: 2^14 registers → 16 KiB per sketch, stated
 #: bound ≈ 2.4% relative.
 DEFAULT_PRECISION = 14
 
-_MODES = ("exact", "sketch")
-
-_active: str | None = None
-
-
-def _normalize(mode: str | None, source: str) -> str:
-    if mode is None:
-        return "exact"
-    lowered = str(mode).strip().lower()
-    if lowered not in _MODES:
-        raise ValueError(
-            f"approx mode must be one of {_MODES}, got {mode!r} (from {source})"
-        )
-    return lowered
-
-
-def set_approx(mode: str | None) -> None:
-    """Install the process-wide approx mode (``None`` → ``"exact"``)."""
-    global _active
-    _active = _normalize(mode, "set_approx()")
-
-
-def active_approx() -> str:
-    """The approx mode in effect: explicit setting, else ``$REPRO_APPROX``,
-    else ``"exact"``."""
-    if _active is not None:
-        return _active
-    env = os.environ.get(APPROX_ENV_VAR)
-    if env:
-        return _normalize(env, f"${APPROX_ENV_VAR}")
-    return "exact"
+#: The approx mode, ``"exact"`` or ``"sketch"``; ``EngineConfig.activate``
+#: writes it.
+_approx: str
 
 
 def estimate_distinct(
@@ -102,15 +65,3 @@ def estimate_distinct(
         if value is not None:
             sketch.add(value)
     return sketch.count()
-
-
-@contextmanager
-def use_approx(mode: str | None):
-    """Scoped approx-mode override (tests, benchmarks)."""
-    global _active
-    previous = _active
-    _active = _normalize(mode, "use_approx()")
-    try:
-        yield
-    finally:
-        _active = previous

@@ -39,15 +39,7 @@ from .executor import (
     execute_on_relation,
     execute_plan,
 )
-from .optimize import (
-    OPTIMIZE_ENV_VAR,
-    active_optimize,
-    optimize_plan,
-    render_plan,
-    resolve_optimize,
-    set_optimize,
-    use_optimize,
-)
+from .optimize import optimize_plan, render_plan
 from .parser import parse
 from .plan import (
     Aggregate,
@@ -92,7 +84,6 @@ __all__ = [
     "Limit",
     "Literal",
     "Not",
-    "OPTIMIZE_ENV_VAR",
     "Or",
     "OrderItem",
     "Plan",
@@ -112,7 +103,6 @@ __all__ = [
     "TableStats",
     "Token",
     "TokenType",
-    "active_optimize",
     "connect",
     "execute",
     "execute_on_relation",
@@ -122,10 +112,7 @@ __all__ = [
     "plan_query",
     "relation_stats",
     "render_plan",
-    "resolve_optimize",
-    "set_optimize",
     "store_stats",
     "to_sql",
     "tokenize",
-    "use_optimize",
 ]

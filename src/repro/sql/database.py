@@ -150,17 +150,9 @@ class Database:
     # ------------------------------------------------------------------
     # Querying
     # ------------------------------------------------------------------
-    def query(
-        self,
-        sql: str,
-        optimize: str | None = None,
-    ) -> ResultSet:
-        """Run one SQL statement and return its :class:`ResultSet`.
-
-        ``optimize`` (``"on"``/``"off"``) scopes the query optimizer for
-        this call only (``None`` keeps the process-wide setting).
-        """
-        return execute(self.catalog, sql, optimize=optimize)
+    def query(self, sql: str) -> ResultSet:
+        """Run one SQL statement and return its :class:`ResultSet`."""
+        return execute(self.catalog, sql)
 
     def query_plan(
         self,
@@ -175,8 +167,8 @@ class Database:
         ``EXPLAIN`` surface; render it with
         :func:`repro.sql.optimize.render_plan` or
         :func:`repro.sql.plan.to_sql`).  Given an already-built
-        :class:`Plan`, executes it and returns the :class:`ResultSet`
-        (the programmatic surface, unchanged).
+        :class:`Plan`, executes exactly that plan and returns the
+        :class:`ResultSet` (the programmatic surface).
         """
         if isinstance(plan, str):
             built = plan_query(parse(plan))

@@ -64,7 +64,7 @@ from .ast import (
     SelectQuery,
 )
 from .errors import PlanError, SqlExecutionError
-from .optimize import optimize_plan, resolve_optimize
+from .optimize import optimize_plan
 from .parser import parse
 from .stats import StatisticsProvider
 from .plan import (
@@ -181,74 +181,46 @@ class ResultSet:
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
-def _maybe_optimize(
-    plan: Plan,
-    catalog: Catalog | None,
-    relation: Relation | None,
-    optimize: str | None,
-) -> Plan:
-    """Apply the optimizer unless the effective mode is ``"off"``.
-
-    ``optimize`` overrides per call (``"on"``/``"off"``); ``None``
-    defers to :func:`repro.sql.optimize.active_optimize` — installed by
-    ``EngineConfig(optimize=...)`` / ``$REPRO_OPTIMIZE``.  The ``"off"``
-    path is the byte-identical oracle the equivalence suite pins
-    against.
-    """
-    if resolve_optimize(optimize) != "on":
-        return plan
-    return optimize_plan(
-        plan, StatisticsProvider(catalog=catalog, relation=relation)
-    )
-
-
-def execute(
-    catalog: Catalog,
-    sql: str,
-    optimize: str | None = None,
-) -> ResultSet:
+def execute(catalog: Catalog, sql: str) -> ResultSet:
     """Parse, plan, optimize and run ``sql`` against a catalog."""
-    return execute_plan(catalog, plan_query(parse(sql)), optimize=optimize)
+    plan = optimize_plan(plan_query(parse(sql)), StatisticsProvider(catalog=catalog))
+    return _ColumnarEngine(catalog, None).run(plan)
 
 
 def execute_plan(
     catalog: Catalog,
     plan: Plan,
     engine: str = "columnar",
-    optimize: str | None = None,
+    optimize: str = "off",
 ) -> ResultSet:
-    """Run an already-built logical plan against a catalog.
+    """Run exactly the given logical plan against a catalog.
 
-    ``engine`` is kept positional for existing callers; ``"columnar"``
-    is its only value.
+    ``engine`` and ``optimize`` remain positional for existing callers
+    that pass ``"columnar", "off"``; no other value is accepted.
     """
     if engine != "columnar":
         raise SqlExecutionError(f"unknown engine {engine!r}; expected 'columnar'")
-    plan = _maybe_optimize(plan, catalog, None, optimize)
+    if optimize != "off":
+        raise SqlExecutionError(
+            f"execute_plan runs the plan it is given; optimize must be 'off', "
+            f"got {optimize!r} (call optimize_plan first)"
+        )
     return _ColumnarEngine(catalog, None).run(plan)
 
 
-def execute_on_relation(
-    relation: Relation,
-    sql: str,
-    optimize: str | None = None,
-) -> ResultSet:
+def execute_on_relation(relation: Relation, sql: str) -> ResultSet:
     """Parse and run ``sql``; the FROM clause must name this relation."""
     query = parse(sql)
     if query.table != relation.name:
         raise SqlExecutionError(
             f"query targets {query.table!r} but got relation {relation.name!r}"
         )
-    return _run(relation, query, optimize=optimize)
+    return _run(relation, query)
 
 
-def _run(
-    relation: Relation,
-    query: SelectQuery,
-    optimize: str | None = None,
-) -> ResultSet:
-    """Plan and run a parsed query against one relation (no catalog)."""
-    plan = _maybe_optimize(plan_query(query), None, relation, optimize)
+def _run(relation: Relation, query: SelectQuery) -> ResultSet:
+    """Plan, optimize and run a parsed query against one relation."""
+    plan = optimize_plan(plan_query(query), StatisticsProvider(relation=relation))
     return _ColumnarEngine(None, relation).run(plan)
 
 

@@ -21,8 +21,8 @@ plan into an equivalent, cheaper one:
 
 Everything is guarded so the rewrite is *observably identical* to the
 original plan — results, row order, and error messages — which the
-hypothesis equivalence suite pins against the unoptimized oracle
-(``EngineConfig(optimize="off")`` / ``$REPRO_OPTIMIZE``):
+hypothesis equivalence suite pins by running the unoptimized plan
+through :func:`~repro.sql.executor.execute_plan`:
 
 * only conjuncts **before the first may-raise conjunct** are pushed
   (pushing past one could filter away the row it would have raised on);
@@ -37,17 +37,10 @@ hypothesis equivalence suite pins against the unoptimized oracle
   ``SELECT *`` (frame column order is user-visible there).
 
 Plans that don't have the canonical shape are returned unchanged.
-
-The process-wide **optimize mode** mirrors the kernel-backend switch:
-``"on"`` (default) or ``"off"``, installed by
-``EngineConfig(optimize=...)`` / ``$REPRO_OPTIMIZE`` and scoped in
-tests with :func:`use_optimize`.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -81,68 +74,7 @@ from .plan import (
 )
 from .stats import StatisticsProvider, TableStats
 
-__all__ = [
-    "OPTIMIZE_ENV_VAR",
-    "active_optimize",
-    "optimize_plan",
-    "render_plan",
-    "resolve_optimize",
-    "set_optimize",
-    "use_optimize",
-]
-
-OPTIMIZE_ENV_VAR = "REPRO_OPTIMIZE"
-
-_MODES = ("on", "off")
-
-_active: str | None = None
-
-
-def _normalize(mode: str | None, source: str) -> str:
-    if mode is None:
-        return "on"
-    lowered = str(mode).strip().lower()
-    if lowered not in _MODES:
-        raise ValueError(
-            f"optimize mode must be one of {_MODES}, got {mode!r} (from {source})"
-        )
-    return lowered
-
-
-def set_optimize(mode: str | None) -> None:
-    """Install the process-wide optimize mode (``None`` → ``"on"``)."""
-    global _active
-    _active = _normalize(mode, "set_optimize()")
-
-
-def active_optimize() -> str:
-    """The optimize mode in effect: explicit setting, else
-    ``$REPRO_OPTIMIZE``, else ``"on"``."""
-    if _active is not None:
-        return _active
-    env = os.environ.get(OPTIMIZE_ENV_VAR)
-    if env:
-        return _normalize(env, f"${OPTIMIZE_ENV_VAR}")
-    return "on"
-
-
-def resolve_optimize(explicit: str | None = None) -> str:
-    """An explicit per-call mode, else the active process-wide one."""
-    if explicit is None:
-        return active_optimize()
-    return _normalize(explicit, "optimize=")
-
-
-@contextmanager
-def use_optimize(mode: str | None):
-    """Scoped optimize-mode override (tests, benchmarks)."""
-    global _active
-    previous = _active
-    _active = _normalize(mode, "use_optimize()")
-    try:
-        yield
-    finally:
-        _active = previous
+__all__ = ["optimize_plan", "render_plan"]
 
 
 # ----------------------------------------------------------------------

@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
+import repro.sketch
 from repro.relational.schema import RelationSchema
 from repro.relational.types import AttributeType
-from repro.sketch import active_approx, estimate_distinct
+from repro.sketch import estimate_distinct
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.relational.catalog import Catalog
@@ -86,7 +87,7 @@ def _sketchable(distinct_exact: int, values) -> float:
     the estimate a chunked/distributed profile would produce — so the
     cost model sees sketch error instead of silently exact numbers.
     """
-    if active_approx() != "sketch":
+    if repro.sketch._approx != "sketch":
         return float(distinct_exact)
     return estimate_distinct(values)
 

@@ -3,8 +3,7 @@
 Every routine here walks the store one chunk at a time and keeps a
 working set bounded by ``O(chunk + distinct-per-chunk + sample)`` — the
 relation itself is never materialized.  Two estimator families, chosen
-by the process-wide approx mode (:func:`repro.sketch.active_approx`,
-installed by ``EngineConfig(approx=...)``):
+by the process-wide approx mode (``EngineConfig(approx=...)``):
 
 * **exact** — an external-sort group merge: each chunk contributes a
   *sorted* run of ``(group key, count)`` records spilled to disk
@@ -38,12 +37,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+import repro.sketch
 from repro.relational import kernels
 from repro.relational.relation import Relation
 from repro.sketch import (
     DEFAULT_PRECISION,
     HyperLogLog,
-    active_approx,
     entropy_estimate,
     violating_pairs_estimate,
 )
@@ -382,7 +381,7 @@ def sample_rows(
 # Public profiling API (mode-dispatched)
 # ======================================================================
 def _mode(mode: str | None) -> str:
-    return active_approx() if mode is None else mode
+    return repro.sketch._approx if mode is None else mode
 
 
 def distinct_count(

@@ -12,10 +12,10 @@ footprint.
 
 One physical optimization rides the walk:
 
-* **Zone-map chunk skipping** (format-v2 stores, gated on the PR-10
-  ``optimize`` knob): a chunk is skipped entirely when one WHERE
-  conjunct is *refuted* by its :class:`~repro.storage.format.ChunkZone`
-  — the literal falls outside the chunk's min/max range, misses a
+* **Zone-map chunk skipping** (format-v2 stores): a chunk is skipped
+  entirely when one WHERE conjunct is *refuted* by its
+  :class:`~repro.storage.format.ChunkZone` — the literal falls outside
+  the chunk's min/max range, misses a
   small-dictionary membership set, or asserts NULLs a NULL-free chunk
   cannot have.  Skipping is error-exact: conjuncts are considered in
   order and the walk stops consulting zones at the first conjunct that
@@ -46,7 +46,6 @@ from repro.relational.relation import Relation
 from repro.sql import ast
 from repro.sql.errors import SqlExecutionError
 from repro.sql.executor import ResultSet, compile_expression, execute_on_relation
-from repro.sql.optimize import active_optimize
 from repro.sql.parser import parse
 
 from .format import ChunkZone
@@ -354,7 +353,7 @@ def scan_store(
     columns are read regardless but not kept); ``limit`` stops the walk
     as soon as enough rows survive; ``stats`` receives the zone-map
     skip counters.  Chunks whose zone map refutes a WHERE conjunct are
-    skipped without being read (``optimize`` knob on, format-v2 store).
+    skipped without being read (format-v2 store).
     The result is an ordinary in-memory :class:`Relation` carrying the
     store's schema (projected), ready for the executor.
     """
@@ -387,10 +386,9 @@ def scan_store(
     )
     keep = tuple(range(len(out_names)))
     conjuncts = [] if predicate is None else _split_conjuncts(predicate)
-    skipping = predicate is not None and active_optimize() == "on"
     surviving: list[int] = []
     for chunk in range(store.num_chunks):
-        if skipping and _chunk_refuted(
+        if conjuncts and _chunk_refuted(
             conjuncts, _zone_lookup(store, chunk), store.manifest.chunk_sizes[chunk]
         ):
             continue
@@ -417,8 +415,8 @@ def count_skippable_chunks(
 ) -> ScanStats:
     """Dry-run the zone-map walk: how many chunks ``where`` refutes.
 
-    No chunk is read — this is the number :func:`scan_store` would skip
-    with the ``optimize`` knob on, which is what ``EXPLAIN`` reports.
+    No chunk is read — this is the number :func:`scan_store` skips,
+    which is what ``EXPLAIN`` reports.
     """
     predicate = _as_predicate(where)
     stats = ScanStats(chunks_total=store.num_chunks)

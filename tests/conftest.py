@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import use_engine
 from repro.datagen.places import places_catalog, places_relation
 from repro.relational.relation import Relation
+
+
+@pytest.fixture(autouse=True)
+def _restore_engine():
+    """Re-activate the suite's engine config after a test activates another."""
+    with use_engine():
+        yield
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import GoodnessMode, RepairConfig
+from repro.core.config import CandidateOrder, GoodnessMode, RepairConfig
 
 
 class TestValidation:
@@ -26,6 +26,38 @@ class TestValidation:
     def test_bad_max_expansions(self):
         with pytest.raises(ValueError):
             RepairConfig(max_expansions=0)
+
+    @pytest.mark.parametrize(
+        "field", ["max_added_attributes", "goodness_threshold", "max_expansions"]
+    )
+    @pytest.mark.parametrize("bad", [True, False, 2.5, "3"])
+    def test_int_fields_reject_non_ints(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an int or None"):
+            RepairConfig(**{field: bad})
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("goodness_mode", "prefer"),
+            ("goodness_mode", "exclude"),
+            ("goodness_mode", None),
+            ("candidate_order", "rank"),
+            ("candidate_order", "name"),
+            ("candidate_order", GoodnessMode.PREFER),
+        ],
+    )
+    def test_enum_fields_reject_plain_values(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be a "):
+            RepairConfig(**{field: bad})
+
+    def test_enum_members_accepted(self):
+        config = RepairConfig(
+            goodness_mode=GoodnessMode.EXCLUDE,
+            candidate_order=CandidateOrder.NAME,
+            max_added_attributes=2,
+        )
+        assert config.goodness_mode is GoodnessMode.EXCLUDE
+        assert config.candidate_order is CandidateOrder.NAME
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

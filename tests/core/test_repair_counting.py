@@ -16,7 +16,7 @@ import heapq
 import pytest
 
 from repro.core.candidates import Candidate, order_key
-from repro.core.config import GoodnessMode, RepairConfig
+from repro.core.config import GoodnessMode, RepairConfig, use_engine
 from repro.core.repair import find_repairs
 from repro.datagen.engineered import engineered_relation
 from repro.datagen.places import F1, F2, F3, places_relation
@@ -166,7 +166,7 @@ WORKLOADS = _workloads()
 )
 def test_search_matches_raw_count_oracle(backend, mode, name, relation, fd):
     config = MODES[mode]
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         engine = engine_search(relation, fd, config)
     assert engine == oracle_search(relation, fd, config)
 
@@ -175,7 +175,7 @@ def test_search_matches_raw_count_oracle(backend, mode, name, relation, fd):
 def test_places_golden_values(backend):
     golden = {F1: (0.5, -2), F2: (2 / 3, -1), F3: (8 / 9, 1)}
     relation = places_relation()
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         for fd, (confidence, goodness) in golden.items():
             engine = engine_search(relation, fd, RepairConfig.find_first())
             assert engine["assessment"][0] == pytest.approx(confidence, abs=1e-9)

@@ -25,17 +25,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import EngineConfig
+from repro.core.config import EngineConfig, use_engine
 from repro.datarepair.conflicts import build_dc_conflict_graph
 from repro.dc import engine as dc_engine
-from repro.dc.engine import (
-    DEFAULT_TILE,
-    TILE_ENV_VAR,
-    build_evidence_tiled,
-    dc_violating_pairs,
-    discover_dcs,
-    use_tile,
-)
+from repro.dc.engine import build_evidence_tiled, dc_violating_pairs, discover_dcs
 from repro.dc.evidence import (
     EvidenceIndex,
     _decode_pair,
@@ -92,7 +85,7 @@ def _full_space(relation: Relation) -> PredicateSpace:
 
 @pytest.fixture(params=BACKENDS)
 def backend(request):
-    with kernels.use_backend(request.param):
+    with use_engine(backend=request.param):
         yield request.param
 
 
@@ -104,10 +97,10 @@ class TestTiledEvidenceEquivalence:
     @given(dc_relations(), st.integers(1, 9))
     def test_tiled_matches_reference_with_null_nan_lanes(self, relation, tile):
         space = _full_space(relation)
-        with kernels.use_backend("python"):
+        with use_engine(backend="python"):
             reference = build_evidence_set(relation, space)
         for backend_name in kernels.available_backends():
-            with kernels.use_backend(backend_name):
+            with use_engine(backend=backend_name):
                 tiled = build_evidence_tiled(relation, space, tile=tile)
             assert tiled.counts == reference.counts
             assert tiled.total_pairs == reference.total_pairs
@@ -382,39 +375,40 @@ class TestPermutedSampling:
 # ----------------------------------------------------------------------
 class TestTileKnob:
     def test_default(self):
-        assert dc_engine.effective_tile() == DEFAULT_TILE == 4096
+        assert dc_engine._tile == EngineConfig().dc_tile == 4096
 
     def test_env_override_and_validation(self, monkeypatch):
-        monkeypatch.setenv(TILE_ENV_VAR, "512")
-        assert dc_engine.effective_tile() == 512
-        monkeypatch.setenv(TILE_ENV_VAR, "0")
+        monkeypatch.setenv("REPRO_DC_TILE", "512")
+        assert EngineConfig.from_env().dc_tile == 512
+        monkeypatch.setenv("REPRO_DC_TILE", "0")
         with pytest.raises(ValueError):
-            dc_engine.effective_tile()
-        monkeypatch.setenv(TILE_ENV_VAR, "many")
+            EngineConfig.from_env()
+        monkeypatch.setenv("REPRO_DC_TILE", "many")
         with pytest.raises(ValueError):
-            dc_engine.effective_tile()
+            EngineConfig.from_env()
 
     def test_set_tile_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(TILE_ENV_VAR, "512")
-        with use_tile(64):
-            assert dc_engine.effective_tile() == 64
-        assert dc_engine.effective_tile() == 512
+        monkeypatch.setenv("REPRO_DC_TILE", "512")
+        with use_engine(dc_tile=64):
+            assert dc_engine._tile == 64
+        assert dc_engine._tile == 4096  # the variable is read at import only
 
     def test_set_tile_validation(self):
         with pytest.raises(ValueError):
-            dc_engine.set_tile(0)
+            EngineConfig(dc_tile=0)
         with pytest.raises(ValueError):
-            dc_engine.set_tile(True)
+            EngineConfig(dc_tile=True)
+        relation = Relation.from_columns("t", {"A": [1, 2], "B": [3, 4]})
+        space = build_predicate_space(relation)
+        for bad in (0, True, 2.5):
+            with pytest.raises(ValueError, match="tile must be a positive integer"):
+                build_evidence_tiled(relation, space, tile=bad)
 
     def test_engine_config_knob(self):
-        assert EngineConfig().dc_tile == DEFAULT_TILE
         with pytest.raises(ValueError):
             EngineConfig(dc_tile=0)
         with pytest.raises(ValueError):
             EngineConfig(dc_tile="big")
-        try:
-            EngineConfig(backend="python", dc_tile=128).activate()
-            assert dc_engine.effective_tile() == 128
-        finally:
-            kernels.set_backend(None)
-            dc_engine.set_tile(None)
+        EngineConfig(backend="python", dc_tile=128).activate()
+        assert dc_engine._tile == 128
+        assert kernels.active_backend_name() == "python"

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import use_engine
 from repro.relational import kernels
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
@@ -41,7 +42,7 @@ trees = st.tuples(
 
 @pytest.fixture(params=BACKENDS)
 def backend(request):
-    with kernels.use_backend(request.param):
+    with use_engine(backend=request.param):
         yield request.param
 
 
@@ -64,7 +65,7 @@ def _assert_matches_cold(relation: Relation, node_rows: list) -> None:
 def test_extension_tree_nodes_match_cold(tree):
     seed_rows, steps = tree
     for name in BACKENDS:
-        with kernels.use_backend(name):
+        with use_engine(backend=name):
             nodes = [(Relation.from_rows(SCHEMA, seed_rows, validate=False), seed_rows)]
             for pick, batch, warm in steps:
                 parent, parent_rows = nodes[pick % len(nodes)]
@@ -154,7 +155,7 @@ def test_steady_extend_allocates_o_delta():
         name: [(row * (7 + 2 * i)) % (1_000 + 997 * i) for row in range(n)]
         for i, name in enumerate(names)
     }
-    with kernels.use_backend("numpy"):
+    with use_engine(backend="numpy"):
         relation = Relation.from_columns("t", columns)
         relation.count_distinct(["c0", "c1"])
         relation.count_distinct(["c2", "c3", "c4"])

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import use_engine
 from repro.dc.evidence import build_evidence_set
 from repro.dc.predicates import build_predicate_space
 from repro.relational import expr, kernels
@@ -155,7 +156,7 @@ def outcome(fn):
 @settings(max_examples=120, deadline=None)
 @given(relation=relations(), predicate=predicates())
 def test_filter_rows_equals_scalar_oracle(backend, relation, predicate):
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         assert list(expr.filter_rows(relation, predicate)) == oracle_rows(
             relation, predicate
         )
@@ -165,7 +166,7 @@ def test_filter_rows_equals_scalar_oracle(backend, relation, predicate):
 @settings(max_examples=60, deadline=None)
 @given(relation=relations(), predicate=predicates())
 def test_select_ir_equals_callable(backend, relation, predicate):
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         via_ir = relation.select(predicate)
         with pytest.warns(DeprecationWarning, match="callable predicate"):
             via_callable = relation.select(expr.as_row_callable(predicate))
@@ -178,7 +179,7 @@ def test_select_ir_equals_callable(backend, relation, predicate):
 def test_error_equivalence_with_short_circuit(backend, relation, predicate):
     """Ill-typed leaves raise columnar iff the scalar oracle raises —
     same message, same short-circuit reachability — else rows match."""
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         columnar = outcome(lambda: list(expr.filter_rows(relation, predicate)))
     oracle = outcome(lambda: oracle_rows(relation, predicate))
     assert columnar == oracle
@@ -215,7 +216,7 @@ def test_float_masks_with_null_and_nan_match_scalar_oracle(backend, values, shap
         expr.and_(expr.gt(a0, 0.0), expr.lt(a1, 3.0)),
         expr.or_(expr.is_null(a1), expr.eq(a0, 2.0)),
     ][shape]
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         columnar = list(expr.filter_rows(relation, predicate))
     assert columnar == oracle_rows(relation, predicate)
 
@@ -240,7 +241,7 @@ def test_mixed_type_error_rows_match_scalar_oracle(backend, values):
         expr.or_(expr.eq(g, 3.0), expr.lt(m, 2.0)),  # skips exactly the 'mix' rows
         expr.eq(expr.col("nope"), 1.0),  # unknown column
     ]
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         for predicate in cases:
             columnar = outcome(lambda: list(expr.filter_rows(mixed, predicate)))
             oracle = outcome(lambda: oracle_rows(mixed, predicate))
@@ -323,7 +324,7 @@ def join_pairs(draw):
 @given(pair=join_pairs())
 def test_natural_join_equals_reference(backend, pair):
     left, right = pair
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         joined = natural_join(left, right)
     assert joined.attribute_names == ("K", "N", "L", "R")
     assert list(joined.rows()) == reference_join(left, right)
@@ -336,7 +337,7 @@ def test_cross_product_when_disjoint(backend, pair):
     left, right = pair
     left = left.project(["L"], new_name="left")
     right = right.project(["R"], new_name="right")
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         joined = natural_join(left, right)
     assert list(joined.rows()) == reference_join(left, right)
 
@@ -347,7 +348,7 @@ def test_null_joins_null():
     left = Relation.from_columns("left", {"K": [None, "a"], "L": [1, 2]})
     right = Relation.from_columns("right", {"K": [None, "b"], "R": [7, 8]})
     for backend in BACKENDS:
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             joined = natural_join(left, right)
             assert list(joined.rows()) == [(None, 1, 7)]
 
@@ -364,9 +365,9 @@ def test_evidence_nan_ordered_column_matches_reference():
         "r", {"A": [nan, nan, 1.0], "B": [1.0, 2.0, 1.0]}
     )
     space = build_predicate_space(relation)
-    with kernels.use_backend("python"):
+    with use_engine(backend="python"):
         reference = build_evidence_set(relation, space)
-    with kernels.use_backend("numpy"):
+    with use_engine(backend="numpy"):
         vectorized = build_evidence_set(relation, space)
     assert vectorized.counts == reference.counts
 
@@ -378,9 +379,9 @@ def test_evidence_counts_identical_across_backends(relation):
     space = build_predicate_space(relation, include_nullable=True)
     if not space.predicates:
         return
-    with kernels.use_backend("python"):
+    with use_engine(backend="python"):
         reference = build_evidence_set(relation, space)
-    with kernels.use_backend("numpy"):
+    with use_engine(backend="numpy"):
         vectorized = build_evidence_set(relation, space)
     assert vectorized.counts == reference.counts
     assert vectorized.total_pairs == reference.total_pairs

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import use_engine
 from repro.eb.entropy import entropy, entropy_of
 from repro.fd.fd import fd
 from repro.fd.measures import count_violating_pairs
@@ -24,14 +25,13 @@ from repro.relational import kernels
 from repro.relational.delta import DeltaStream, GroupTracker
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
-from repro.relational.statistics import configure_caches
 
 BACKENDS = kernels.available_backends()
 
 
 @pytest.fixture(params=BACKENDS)
 def backend(request):
-    with kernels.use_backend(request.param):
+    with use_engine(backend=request.param):
         yield request.param
 
 
@@ -72,7 +72,7 @@ def test_extended_columns_byte_identical(data):
     rows = _rows(column_a, card_b)
     schema = RelationSchema("t", ["A", "B", "C"])
     for name in BACKENDS:
-        with kernels.use_backend(name):
+        with use_engine(backend=name):
             delta = _chain(schema, rows, min(cut, len(rows)))
             cold = Relation.from_rows(schema, rows, validate=False)
             for attr in schema.attribute_names:
@@ -88,7 +88,7 @@ def test_counts_partitions_entropies_match_cold(data):
     rows = _rows(column_a, card_b)
     schema = RelationSchema("t", ["A", "B", "C"])
     for name in BACKENDS:
-        with kernels.use_backend(name):
+        with use_engine(backend=name):
             delta = _chain(schema, rows, min(cut, len(rows)))
             cold = Relation.from_rows(schema, rows, validate=False)
             for attrs in (["A"], ["B"], ["A", "B"], ["A", "B", "C"]):
@@ -130,7 +130,7 @@ def test_violating_pairs_match_cold(data):
     schema = RelationSchema("t", ["A", "B", "C"])
     dependency = fd("A -> B")
     for name in BACKENDS:
-        with kernels.use_backend(name):
+        with use_engine(backend=name):
             seed = Relation.from_rows(
                 schema, rows[: min(cut, len(rows))], validate=False
             )
@@ -164,7 +164,7 @@ def test_promoted_trackers_exact_along_chain(data):
     bounds = sorted({min(cut, len(rows)) for cut in cuts} | {len(rows)})
     sets = (["A", "B"], ["B"], ["A", "C"], ["B", "C"], ["A", "B", "C"])
     for name in BACKENDS:
-        with kernels.use_backend(name):
+        with use_engine(backend=name):
             relation = Relation.from_rows(schema, rows[: bounds[0]], validate=False)
             relation.count_distinct(["A", "B"])  # promoted counts-only
             relation.stripped_partition(["B"])  # promoted with rows
@@ -408,8 +408,7 @@ class TestAdoptDelta:
 
 class TestCacheBounds:
     def test_partition_cache_lru_evicts(self):
-        configure_caches(partition_cache_size=2, delta_track_limit=64)
-        try:
+        with use_engine(partition_cache_size=2, delta_track_limit=64):
             relation = Relation.from_columns(
                 "t", {"A": [1, 1], "B": [0, 1], "C": [2, 2], "D": [3, 4]}
             )
@@ -425,12 +424,9 @@ class TestCacheBounds:
             stats.stripped_partition(["D"])
             assert stats.cached_partition(["B"]) is not None
             assert stats.cached_partition(["C"]) is None
-        finally:
-            configure_caches()
 
     def test_tracker_limit_bounds_adoption(self):
-        configure_caches(partition_cache_size=None, delta_track_limit=2)
-        try:
+        with use_engine(partition_cache_size=None, delta_track_limit=2):
             relation = Relation.from_columns(
                 "t", {"A": [1, 1], "B": [0, 1], "C": [2, 2]}
             )
@@ -439,14 +435,14 @@ class TestCacheBounds:
             relation.count_distinct(["C"])
             child = relation.extend([(1, 0, 2)])
             assert child.stats.tracked_sets == 2
-        finally:
-            configure_caches()
 
     def test_configure_caches_validates(self):
         with pytest.raises(ValueError):
-            configure_caches(partition_cache_size=0)
+            with use_engine(partition_cache_size=0):
+                pass
         with pytest.raises(ValueError):
-            configure_caches(delta_track_limit=0)
+            with use_engine(delta_track_limit=0):
+                pass
 
     def test_clear_drops_trackers(self):
         relation = Relation.from_columns("t", {"A": [1, 1, 2]})

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import use_engine
 from repro.relational import kernels
 from repro.relational.encoding import EncodedColumn
 from repro.relational.expr import (
@@ -43,7 +44,7 @@ from repro.relational.relation import Relation
 @pytest.fixture(params=kernels.available_backends())
 def backend(request):
     """Run each test once per installed kernel backend."""
-    with kernels.use_backend(request.param):
+    with use_engine(backend=request.param):
         yield request.param
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import use_engine
 from repro.relational import kernels
 from repro.relational.relation import Relation
 
@@ -67,7 +68,7 @@ def relation_and_split(draw):
 @settings(max_examples=60, deadline=None)
 def test_matches_raw_counts(backend, case):
     relation, x, candidates, y = case
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         assert_matches(relation, x, candidates, y)
 
 
@@ -77,7 +78,7 @@ def test_key_antecedent_has_no_covered_rows(backend):
         "r",
         {"K": [1, 2, 3, 4], "A": [1, 1, 2, 2], "B": [5, 5, 5, 6], "Y": [0, 1, 0, 1]},
     )
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         assert relation.stripped_partition(["K"]).covered_rows == 0
         assert assert_matches(relation, ["K"], ["A", "B"], ["Y"]) == [(4, 4), (4, 4)]
 
@@ -86,7 +87,7 @@ def test_key_antecedent_has_no_covered_rows(backend):
 @pytest.mark.parametrize("rows", [[], [(1, 2, 3, 4)]])
 def test_empty_and_one_row_relations(backend, rows):
     relation = Relation.from_rows("r", rows, attributes=["X", "A", "B", "Y"])
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         counts = assert_matches(relation, ["X"], ["A", "B"], ["Y"])
     assert counts == [(len(rows), len(rows))] * 2
 
@@ -103,7 +104,7 @@ def test_multi_attribute_and_empty_y_with_nulls(backend):
             "Y2": [5, 6, 5, 5, None, None, 5, 5],
         },
     )
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         assert_matches(relation, ["X"], ["A", "B"], ["Y1", "Y2"])
         assert_matches(relation, ["X", "B"], ["A"], ["Y1", "Y2"])
         assert_matches(relation, [], ["A", "B", "X"], ["Y1", "Y2"])
@@ -121,7 +122,7 @@ def test_counts_are_memoized_and_nothing_is_materialized(backend):
             "Y": [3, 3, 4, 4, 5],
         },
     )
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         relation.stats.clear()
         relation.stats.extension_counts(["X"], ["A", "B"], ["Y"])
         # One count query per distinct missing set: XA, XAY, XB, XBY.
@@ -141,7 +142,7 @@ def test_count_queries_equal_per_set_counting(backend):
         "r",
         {"X": [1, 1, 2, 2], "A": [1, 2, 1, 1], "B": [0, 0, 0, 1], "Y": [3, 3, 4, 4]},
     )
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         relation.stats.clear()
         relation.count_distinct(["X", "A"])  # already memoized: no query
         relation.stats.extension_counts(["X"], ["A", "B"], ["Y"])
@@ -197,7 +198,7 @@ def test_high_cardinality_columns_with_forced_fallback(monkeypatch):
 
     relation = _wide_relation(300, 4, cardinality=250)
     monkeypatch.setattr(numpy_backend, "_PACK_LIMIT", 1)
-    with kernels.use_backend("numpy"):
+    with use_engine(backend="numpy"):
         assert_matches(relation, ["X"], ["C0", "C1", "C2", "C3"], ["Y"])
 
 
@@ -208,7 +209,7 @@ def test_candidates_crossing_the_block_cap(monkeypatch, cap):
 
     relation = _wide_relation(600, 9, cardinality=40)
     monkeypatch.setattr(numpy_backend, "_EXTENSION_BLOCK", cap)
-    with kernels.use_backend("numpy"):
+    with use_engine(backend="numpy"):
         assert_matches(relation, ["X"], [f"C{i}" for i in range(9)], ["Y"])
 
 
@@ -220,5 +221,5 @@ def test_candidates_crossing_the_default_block_cap():
     assert num_rows * num_candidates > numpy_backend._EXTENSION_BLOCK
     relation = _wide_relation(num_rows, num_candidates, cardinality=997)
     candidates = [f"C{i}" for i in range(num_candidates)]
-    with kernels.use_backend("numpy"):
+    with use_engine(backend="numpy"):
         assert_matches(relation, ["X"], candidates, ["Y"])

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import use_engine
 from repro.eb.entropy import (
     conditional_entropy,
     entropy,
@@ -63,9 +64,9 @@ def _relation(rows_a, card_b, card_c):
 
 def _both_backends(build):
     """Run ``build`` on a fresh relation under each backend."""
-    with kernels.use_backend("python"):
+    with use_engine(backend="python"):
         py = build()
-    with kernels.use_backend("numpy"):
+    with use_engine(backend="numpy"):
         np_ = build()
     return py, np_
 
@@ -158,17 +159,17 @@ def test_cross_backend_partitions_interoperate(cols):
     rows_a, card_b, card_c = cols
     rel_py = _relation(rows_a, card_b, card_c)
     rel_np = _relation(rows_a, card_b, card_c)
-    with kernels.use_backend("python"):
+    with use_engine(backend="python"):
         p_py = rel_py.stripped_partition(["A"])
         codes_py = rel_py.column("B").kernel_codes()
-    with kernels.use_backend("numpy"):
+    with use_engine(backend="numpy"):
         p_np = rel_np.stripped_partition(["A"])
         codes_np = rel_np.column("B").kernel_codes()
         b_np = rel_np.stripped_partition(["B"])
     assert canonical(p_py.refine(codes_np)) == canonical(p_np.refine(codes_py))
     assert p_py.refined_error(codes_np) == p_np.refined_error(codes_py)
     # products across representations agree with same-backend products
-    with kernels.use_backend("python"):
+    with use_engine(backend="python"):
         b_py = rel_py.stripped_partition(["B"])
     expected = canonical(p_py.product(b_py))
     assert canonical(p_np.product(b_py)) == expected
@@ -234,7 +235,7 @@ def test_violating_pair_counts_identical_and_exact(cols):
     assert py == np_
     if py is not None:
         # cross-check against brute force on the python backend
-        with kernels.use_backend("python"):
+        with use_engine(backend="python"):
             rel = _relation(rows_a, card_b, card_c)
             brute = 0
             for i in range(rel.num_rows):

@@ -16,6 +16,7 @@ import asyncio
 
 import pytest
 
+from repro.core.config import use_engine
 from repro.relational import kernels
 from repro.service import (
     FaultInjector,
@@ -126,7 +127,7 @@ async def run_faulted(state_dir):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_crash_recovery_stream_is_byte_identical(tmp_path, backend):
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         asyncio.run(run_oracle(tmp_path / "oracle"))
         incarnations = asyncio.run(run_faulted(tmp_path / "faulted"))
     assert incarnations > len(PLAN.kill_points) // 2  # kills actually fired
@@ -142,7 +143,7 @@ def test_crash_recovery_stream_is_byte_identical(tmp_path, backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_oracle_itself_is_deterministic(tmp_path, backend):
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         asyncio.run(run_oracle(tmp_path / "a"))
         asyncio.run(run_oracle(tmp_path / "b"))
     for index in range(LOAD.tenants):

@@ -1,36 +1,31 @@
-"""The approx-mode switch: module global, env var, EngineConfig field."""
+"""The approx-mode knob: module global, env var, EngineConfig field."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import sketch
-from repro.core.config import EngineConfig
-
-
-@pytest.fixture(autouse=True)
-def _restore_mode():
-    previous = sketch.active_approx()
-    yield
-    sketch.set_approx(previous)
+from repro.core.config import EngineConfig, use_engine
 
 
 class TestModuleSwitch:
     def test_default_is_exact(self):
-        assert sketch.active_approx() == "exact"
+        assert sketch._approx == "exact"
 
     def test_set_and_read(self):
-        sketch.set_approx("sketch")
-        assert sketch.active_approx() == "sketch"
+        EngineConfig(approx="sketch").activate()
+        assert sketch._approx == "sketch"
 
     def test_use_approx_scopes_and_restores(self):
-        with sketch.use_approx("sketch"):
-            assert sketch.active_approx() == "sketch"
-        assert sketch.active_approx() == "exact"
+        with use_engine(approx="sketch"):
+            assert sketch._approx == "sketch"
+        assert sketch._approx == "exact"
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="sketch"):
-            sketch.set_approx("bogus")
+            with use_engine(approx="bogus"):
+                pass
+        assert sketch._approx == "exact"
 
 
 class TestEngineConfigApprox:
@@ -43,16 +38,16 @@ class TestEngineConfigApprox:
             EngineConfig(approx="guess")
 
     def test_from_env_reads_repro_approx(self, monkeypatch):
-        monkeypatch.setenv(sketch.APPROX_ENV_VAR, "sketch")
+        monkeypatch.setenv("REPRO_APPROX", "sketch")
         assert EngineConfig.from_env().approx == "sketch"
 
     def test_from_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(sketch.APPROX_ENV_VAR, "fast")
+        monkeypatch.setenv("REPRO_APPROX", "fast")
         with pytest.raises(ValueError):
             EngineConfig.from_env()
 
     def test_activate_sets_module_mode(self):
         EngineConfig(approx="sketch").activate()
-        assert sketch.active_approx() == "sketch"
+        assert sketch._approx == "sketch"
         EngineConfig(approx="exact").activate()
-        assert sketch.active_approx() == "exact"
+        assert sketch._approx == "exact"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import use_engine
 from repro.relational import kernels
 from repro.sketch.hll import (
     HyperLogLog,
@@ -101,10 +102,10 @@ class TestHyperLogLog:
         import numpy as np
 
         hashes = [splitmix64(i) for i in range(20_000)]
-        with kernels.use_backend("python"):
+        with use_engine(backend="python"):
             scalar = HyperLogLog(precision=13)
             scalar.add_hashes(hashes)
-        with kernels.use_backend("numpy"):
+        with use_engine(backend="numpy"):
             vectorized = HyperLogLog(precision=13)
             vectorized.add_hashes(np.asarray(hashes, dtype=np.uint64))
         assert bytes(scalar.registers) == bytes(vectorized.registers)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import use_engine
 from repro.relational import kernels
 from repro.relational.catalog import Catalog
 from repro.relational.relation import Relation
@@ -213,7 +214,7 @@ def queries(draw):
 @settings(max_examples=150, deadline=None)
 @given(relation=relations(), query=queries())
 def test_columnar_equals_rowdict(backend, relation, query):
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         columnar = _run(relation, query)
         oracle = rowdict.run(relation, query)
     assert columnar.columns == oracle.columns
@@ -289,7 +290,7 @@ def test_join_columnar_equals_rowdict(backend, relations_pair, query):
     catalog = Catalog()
     catalog.add_relation(left)
     catalog.add_relation(right)
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         columnar = execute(catalog, ast_to_result(query))
         oracle = rowdict.execute(catalog, ast_to_result(query))
     assert columnar.columns == oracle.columns
@@ -315,7 +316,7 @@ def test_division_errors_equal_across_engines(backend):
         "r", {"A": [4, 6, 8], "B": [2, 0, 0]}
     )
     sql = "SELECT A FROM r WHERE A / B > 1"
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         errors = {}
         for name, run in (
             ("columnar", execute_on_relation),
@@ -356,7 +357,7 @@ def test_sql_text_both_engines(backend):
         "SELECT city FROM places WHERE zip NOT IN (100, 300)",
         "SELECT city FROM places ORDER BY city LIMIT 2 OFFSET 1",
     ]
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         for sql in statements:
             columnar = execute_on_relation(relation, sql)
             oracle = rowdict.execute_on_relation(relation, sql)
@@ -393,7 +394,7 @@ def test_join_sql_text_both_engines(backend):
         "SELECT o.oid, c.name FROM orders o "
         "JOIN customers AS c ON o.cid = c.cid WHERE o.total >= 5",
     ]
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         for sql in statements:
             columnar = execute(catalog, sql)
             oracle = rowdict.execute(catalog, sql)
@@ -404,7 +405,7 @@ def test_join_sql_text_both_engines(backend):
 def test_null_rows_never_satisfy_equality_but_match_is_null():
     relation = Relation.from_columns("r", {"A": ["x", None, "y", None]})
     for backend in BACKENDS:
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             hit = execute_on_relation(relation, "SELECT COUNT(*) FROM r WHERE A = 'x'")
             assert hit.scalar == 1
             null = execute_on_relation(

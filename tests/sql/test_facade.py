@@ -87,8 +87,8 @@ class TestResultSet:
 
 
 class TestEngineValidation:
-    """``execute_plan`` keeps its positional engine slot; only
-    ``"columnar"`` is accepted."""
+    """``execute_plan`` keeps its positional engine and optimize slots;
+    only ``"columnar", "off"`` is accepted."""
 
     def test_execute_plan(self, relation):
         catalog = Catalog()
@@ -98,3 +98,11 @@ class TestEngineValidation:
         for engine in ("rowdict", "nope"):
             with pytest.raises(SqlExecutionError, match=f"unknown engine '{engine}'"):
                 execute_plan(catalog, plan, engine)
+
+    def test_execute_plan_runs_the_given_plan(self, relation):
+        catalog = Catalog()
+        catalog.add_relation(relation)
+        plan = plan_query(parse("SELECT name FROM people LIMIT 1"))
+        for optimize in ("on", None, "OFF"):
+            with pytest.raises(SqlExecutionError, match="optimize must be 'off'"):
+                execute_plan(catalog, plan, "columnar", optimize)

@@ -6,8 +6,9 @@ the *physical* work only — for every random query tree, every backend,
 on the columnar executor and on the row-dict oracle
 (``tests/oracles/rowdict.py``, fed the plan this module optimizes), the
 optimized execution must produce byte-identical results **and
-byte-identical error messages** to the unoptimized path
-(``optimize="off"`` / ``REPRO_OPTIMIZE=off``).
+byte-identical error messages** to the unoptimized path: the raw
+``plan_query`` plan run by ``execute_plan``, which runs exactly the plan
+it is given.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import use_engine
 from repro.relational import kernels
 from repro.relational.catalog import Catalog
 from repro.relational.errors import ReproError
 from repro.relational.relation import Relation
 from repro.sql import ast
-from repro.sql.executor import _run, execute
+from repro.sql.executor import _run, execute, execute_plan
 from repro.sql.optimize import optimize_plan
 from repro.sql.parser import parse
 from repro.sql.plan import plan_query, to_sql
@@ -52,7 +54,11 @@ def _outcome(run):
 def _run_on(engine, relation, query, optimize):
     """One single-table execution on either engine."""
     if engine == "columnar":
-        return _run(relation, query, optimize=optimize)
+        if optimize == "on":
+            return _run(relation, query)
+        catalog = Catalog()
+        catalog.add_relation(relation)
+        return execute_plan(catalog, plan_query(query))
     plan = plan_query(query)
     if optimize == "on":
         plan = optimize_plan(plan, StatisticsProvider(relation=relation))
@@ -62,7 +68,9 @@ def _run_on(engine, relation, query, optimize):
 def _execute_on(engine, catalog, sql, optimize):
     """One catalog execution on either engine."""
     if engine == "columnar":
-        return execute(catalog, sql, optimize=optimize)
+        if optimize == "on":
+            return execute(catalog, sql)
+        return execute_plan(catalog, plan_query(parse(sql)))
     plan = plan_query(parse(sql))
     if optimize == "on":
         plan = optimize_plan(plan, StatisticsProvider(catalog=catalog))
@@ -73,7 +81,7 @@ def _execute_on(engine, catalog, sql, optimize):
 @settings(max_examples=120, deadline=None)
 @given(relation=relations(), query=queries(), engine=st.sampled_from(ENGINES))
 def test_single_table_equivalence(backend, relation, query, engine):
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         optimized = _outcome(lambda: _run_on(engine, relation, query, "on"))
         oracle = _outcome(lambda: _run_on(engine, relation, query, "off"))
     assert optimized == oracle
@@ -124,7 +132,7 @@ def test_error_message_equivalence(backend, relation, where, engine):
         where=where,
         order_by=(ast.OrderItem(ast.ColumnRef("I1"), descending=False),),
     )
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         optimized = _outcome(lambda: _run_on(engine, relation, query, "on"))
         oracle = _outcome(lambda: _run_on(engine, relation, query, "off"))
     assert optimized == oracle
@@ -143,7 +151,7 @@ def test_join_equivalence(backend, relations_pair, query, engine):
     catalog.add_relation(left)
     catalog.add_relation(right)
     sql = to_sql(plan_query(query))
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         optimized = _outcome(lambda: _execute_on(engine, catalog, sql, "on"))
         oracle = _outcome(lambda: _execute_on(engine, catalog, sql, "off"))
     assert optimized == oracle
@@ -185,7 +193,7 @@ def test_join_reorder_equivalence(backend, engine):
         "JOIN dim2 ON fact.k2 = dim2.d2 "
         "WHERE fact.v >= 5 ORDER BY fact.v"
     )
-    with kernels.use_backend(backend):
+    with use_engine(backend=backend):
         optimized = _execute_on(engine, catalog, sql, "on")
         oracle = _execute_on(engine, catalog, sql, "off")
     assert optimized.columns == oracle.columns

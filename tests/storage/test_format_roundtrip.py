@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import use_engine
 from repro.relational import kernels
 from repro.relational.relation import Relation
 from repro.storage import (
@@ -93,7 +94,7 @@ class TestRoundTrip:
             store = write_store(relation, tmp, chunk_rows=chunk_rows)
             try:
                 for backend in BACKENDS:
-                    with kernels.use_backend(backend):
+                    with use_engine(backend=backend):
                         assert _rows_equal(
                             list(store.to_relation().rows()), original
                         )
@@ -133,7 +134,7 @@ class TestRoundTrip:
                 names = store.attribute_names
                 per_backend = []
                 for backend in BACKENDS:
-                    with kernels.use_backend(backend):
+                    with use_engine(backend=backend):
                         codes = [
                             [list(col) for col in cols]
                             for _, cols in store.iter_global_codes(names)
@@ -172,7 +173,7 @@ class TestChunkBoundaries:
         ) as store:
             expected_chunks = -(-n // chunk_rows)
             assert store.num_chunks == expected_chunks
-            with kernels.use_backend(backend):
+            with use_engine(backend=backend):
                 assert list(store.to_relation().rows()) == list(
                     relation.rows()
                 )
@@ -196,7 +197,7 @@ class TestNullAndNan:
         with write_store(relation, tmp_path / "n", chunk_rows=2) as store:
             assert store.null_count("S") == 2
             assert store.cardinality("S") == 3
-            with kernels.use_backend(backend):
+            with use_engine(backend=backend):
                 got = list(store.to_relation().rows())
         assert [row[0] for row in got] == values
         for got_f, want_f in zip((row[1] for row in got), floats):

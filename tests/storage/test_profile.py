@@ -13,6 +13,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.config import use_engine
 from repro.datagen.realworld import country_relation
 from repro.fd.fd import FunctionalDependency
 from repro.fd.measures import assess, count_violating_pairs
@@ -58,7 +59,7 @@ def _exact_entropy(relation: Relation, attrs) -> float:
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestExactMatchesInMemory:
     def test_distinct_counts(self, backend, store, country):
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             for attrs in (
                 ("Region",),
                 ("Region", "GovernmentForm"),
@@ -70,7 +71,7 @@ class TestExactMatchesInMemory:
 
     def test_group_stats(self, backend, store, country):
         attrs = ("Region", "GovernmentForm")
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             stats = group_stats(store, attrs, mode="exact")
         counts = Counter(
             (row[0], row[1])
@@ -87,14 +88,14 @@ class TestExactMatchesInMemory:
 
     def test_group_size_histogram(self, backend, store, country):
         attrs = ("Region",)
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             histogram = group_size_histogram(store, attrs)
         counts = Counter(row[0] for row in country.project(attrs).rows())
         expected = Counter(counts.values())
         assert histogram == dict(expected)
 
     def test_assess_fd(self, backend, store, country):
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             got = assess_fd(
                 store, ("Region",), ("GovernmentForm",), mode="exact"
             )
@@ -107,7 +108,7 @@ class TestExactMatchesInMemory:
 
     def test_violating_pairs(self, backend, store, country):
         fd = FunctionalDependency(("Region",), ("GovernmentForm",))
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             got = violating_pairs_count(
                 store, ("Region",), ("GovernmentForm",), mode="exact"
             )
@@ -115,7 +116,7 @@ class TestExactMatchesInMemory:
 
     def test_tane_level1(self, backend, store, country):
         attrs = ("Region", "GovernmentForm", "Continent", "HeadOfState")
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             found = tane_level1(store, attrs, mode="exact")
         expected = []
         for a in attrs:
@@ -131,28 +132,28 @@ class TestExactMatchesInMemory:
 class TestSketchWithinBounds:
     def test_distinct_within_bound(self, backend, store, country):
         attrs = ("Region", "HeadOfState", "Continent")
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             sketch = distinct_count(store, attrs, mode="sketch")
         assert not sketch.exact and sketch.bound > 0
         assert sketch.within(country.count_distinct(attrs))
 
     def test_sketch_identical_across_backends(self, backend, store):
         attrs = ("Region", "GovernmentForm")
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             got = distinct_count(store, attrs, mode="sketch")
-        with kernels.use_backend("python"):
+        with use_engine(backend="python"):
             reference = distinct_count(store, attrs, mode="sketch")
         assert got.value == reference.value
 
     def test_entropy_and_pairs_within_bound(self, backend, store, country):
         attrs = ("Region", "GovernmentForm")
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             stats = group_stats(store, attrs, mode="sketch", sample=150)
         assert stats.entropy.within(_exact_entropy(country, attrs))
 
     def test_fd_confidence_bound(self, backend, store, country):
         fd = FunctionalDependency(("Region",), ("GovernmentForm",))
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             got = assess_fd(
                 store, ("Region",), ("GovernmentForm",), mode="sketch"
             )
@@ -176,7 +177,7 @@ class TestSampling:
 
     def test_evidence_sample_shape(self, store):
         for backend in BACKENDS:
-            with kernels.use_backend(backend):
+            with use_engine(backend=backend):
                 evidence = evidence_sample(
                     store,
                     sample=40,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import use_engine
 from repro.datagen import tpch
 from repro.relational import kernels
 from repro.relational.catalog import Catalog
@@ -36,7 +37,7 @@ def orders(orders_store):
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestScanStore:
     def test_scan_equals_in_memory_select(self, backend, orders_store, orders):
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             scan = scan_store(orders_store, where="totalprice > 400000")
         survivors = [row for row in orders.rows() if row[3] > 400000]
         assert sorted(map(tuple, scan.rows())) == sorted(map(tuple, survivors))
@@ -44,7 +45,7 @@ class TestScanStore:
     def test_projection_keeps_predicate_columns_out(
         self, backend, orders_store, orders
     ):
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             scan = scan_store(
                 orders_store,
                 where="totalprice > 400000",
@@ -57,19 +58,19 @@ class TestScanStore:
         assert sorted(scan.rows()) == sorted(expected)
 
     def test_limit_stops_early(self, backend, orders_store):
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             scan = scan_store(
                 orders_store, where="totalprice > 100000", limit=7
             )
         assert scan.num_rows == 7
 
     def test_no_filter_full_scan(self, backend, orders_store, orders):
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             scan = scan_store(orders_store)
         assert scan.num_rows == orders.num_rows
 
     def test_unknown_predicate_column_raises(self, backend, orders_store):
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             with pytest.raises(SqlExecutionError):
                 scan_store(
                     orders_store,
@@ -86,14 +87,14 @@ class TestQueryStore:
     )
 
     def test_query_equals_in_memory(self, backend, orders_store, orders):
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             got = query_store(orders_store, self.SQL)
             want = execute_on_relation(orders, self.SQL)
         assert got.rows == want.rows
         assert got.column_names == want.column_names
 
     def test_select_star_still_full_width(self, backend, orders_store, orders):
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             got = query_store(
                 orders_store, "SELECT * FROM orders WHERE totalprice > 400000"
             )
@@ -102,7 +103,7 @@ class TestQueryStore:
         assert len(got.rows) == expected
 
     def test_count_star_without_column_refs(self, backend, orders_store, orders):
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             got = query_store(orders_store, "SELECT COUNT(*) AS c FROM orders")
         assert got.rows[0][0] == orders.num_rows
 
@@ -111,13 +112,13 @@ class TestQueryStore:
             "SELECT orderstatus, COUNT(*) AS c FROM orders "
             "GROUP BY orderstatus ORDER BY c DESC"
         )
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             got = query_store(orders_store, sql)
             want = execute_on_relation(orders, sql)
         assert got.rows == want.rows
 
     def test_wrong_table_rejected(self, backend, orders_store):
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             with pytest.raises(SqlExecutionError):
                 query_store(orders_store, "SELECT * FROM lineitem")
 
@@ -126,7 +127,7 @@ class TestQueryStore:
             "SELECT * FROM orders JOIN customer "
             "ON orders.custkey = customer.custkey"
         )
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             with pytest.raises(SqlExecutionError):
                 query_store(orders_store, sql)
 

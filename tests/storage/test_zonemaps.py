@@ -1,10 +1,12 @@
-"""Per-chunk zone maps: content, refutation, and the optimize-off oracle.
+"""Per-chunk zone maps: content, refutation, and the in-memory oracle.
 
 Stores written at format v2 carry a :class:`ChunkZone` per chunk per
 column (value range, null count, small-dict members, code span).
 ``scan_store`` consults them to skip chunks the pushed-down predicate
 refutes — and must do so *invisibly*: identical rows and identical
-error messages to the unoptimized scan, v1 manifests still readable.
+error messages to the same predicate over the whole store in memory,
+which shares no zone or scan code with the store path; v1 manifests
+still readable.
 """
 
 from __future__ import annotations
@@ -13,15 +15,17 @@ import json
 
 import pytest
 
+from repro.core.config import use_engine
 from repro.relational import kernels
 from repro.relational.errors import ReproError
 from repro.relational.relation import Relation
 from repro.sql.database import Database
-from repro.sql.optimize import use_optimize
+from repro.sql.executor import execute_on_relation
 from repro.storage.format import StoreFormatError, StoreManifest
 from repro.storage.reader import open_store
 from repro.storage.sqlbridge import (
     ScanStats,
+    compile_where,
     count_skippable_chunks,
     query_store,
     scan_store,
@@ -29,6 +33,11 @@ from repro.storage.sqlbridge import (
 from repro.storage.writer import ZONE_MEMBER_LIMIT, write_store
 
 BACKENDS = kernels.available_backends()
+
+
+def _in_memory(store, where: str) -> Relation:
+    """The oracle: ``where`` over the whole store materialized in memory."""
+    return store.to_relation().select(compile_where(where))
 
 
 def _clustered(name="t", chunks=10, rows=100):
@@ -121,7 +130,7 @@ class TestZoneContent:
 class TestSkipping:
     def test_range_query_skips_refuted_chunks(self, backend, store):
         stats = ScanStats()
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             scan = scan_store(
                 store, where="a >= 250 AND a < 260", stats=stats
             )
@@ -131,33 +140,30 @@ class TestSkipping:
 
     def test_member_refutation_skips_everything(self, backend, store):
         stats = ScanStats()
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             scan = scan_store(store, where="b = 'zzz'", stats=stats)
         assert scan.num_rows == 0
         assert stats.chunks_skipped == 10
 
     def test_optimize_off_is_the_oracle(self, backend, store):
-        with kernels.use_backend(backend):
-            on_stats, off_stats = ScanStats(), ScanStats()
+        with use_engine(backend=backend):
+            on_stats = ScanStats()
             on = scan_store(store, where="a >= 250 AND a < 260", stats=on_stats)
-            with use_optimize("off"):
-                off = scan_store(
-                    store, where="a >= 250 AND a < 260", stats=off_stats
-                )
-        assert list(on.rows()) == list(off.rows())
+            oracle = _in_memory(store, "a >= 250 AND a < 260")
+        assert list(on.rows()) == list(oracle.rows())
+        assert on.num_rows == 10
         assert on_stats.chunks_skipped == 9
-        assert off_stats.chunks_skipped == 0
 
     def test_may_raise_conjunct_blocks_skip(self, backend, store):
         """``b > 5`` raises on every chunk; a refuting conjunct *after*
         it must not skip the chunk (the error is reachable)."""
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             stats = ScanStats()
             with pytest.raises(ReproError) as optimized:
                 scan_store(store, where="b > 5 AND a < 0", stats=stats)
             assert stats.chunks_skipped == 0
-            with use_optimize("off"), pytest.raises(ReproError) as oracle:
-                scan_store(store, where="b > 5 AND a < 0")
+            with pytest.raises(ReproError) as oracle:
+                _in_memory(store, "b > 5 AND a < 0")
         assert str(optimized.value) == str(oracle.value)
 
     def test_refuting_conjunct_makes_later_errors_unreachable(
@@ -165,23 +171,22 @@ class TestSkipping:
     ):
         """``a < 0`` refutes every chunk first, so ``b > 5`` can never
         raise — all chunks skip, exactly as the oracle returns no rows."""
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             stats = ScanStats()
             scan = scan_store(store, where="a < 0 AND b > 5", stats=stats)
-            with use_optimize("off"):
-                oracle = scan_store(store, where="a < 0 AND b > 5")
+            oracle = _in_memory(store, "a < 0 AND b > 5")
         assert stats.chunks_skipped == 10
         assert list(scan.rows()) == list(oracle.rows()) == []
 
     def test_null_aware_refutation(self, backend, store):
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             stats = ScanStats()
             scan = scan_store(store, where="a IS NULL", stats=stats)
         assert scan.num_rows == 0
         assert stats.chunks_skipped == 10  # null_count == 0 everywhere
 
     def test_count_skippable_chunks_matches_scan(self, backend, store):
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             dry = count_skippable_chunks(store, "a >= 250 AND a < 260")
             live = ScanStats()
             scan_store(store, where="a >= 250 AND a < 260", stats=live)
@@ -280,9 +285,8 @@ class TestQueryStoreEquivalence:
         ],
     )
     def test_on_off_identical(self, backend, store, sql):
-        with kernels.use_backend(backend):
+        with use_engine(backend=backend):
             on = query_store(store, sql)
-            with use_optimize("off"):
-                off = query_store(store, sql)
-        assert on.columns == off.columns
-        assert on.rows == off.rows
+            oracle = execute_on_relation(store.to_relation(), sql)
+        assert on.columns == oracle.columns
+        assert on.rows == oracle.rows
