@@ -9,13 +9,14 @@ unoptimized oracle before any timing is trusted:
   (``execute_plan`` on the raw ``plan_query`` plan).  Pushdown, pruning
   and join reordering must never *lose* time in aggregate.
 * **store scans** — selective point/range ``orderkey`` predicates over
-  a chunked on-disk ``lineitem`` store, checked against the same SQL
-  over the store materialized in memory.  Rows arrive
-  orderkey-ascending so every chunk covers a narrow key band; the zone
-  maps must skip at least half the chunks, and the skipping scans must
-  be ≥2× faster in aggregate than full scans (``scan_store`` without a
-  WHERE, the statement then run in memory) on the numpy backend at
-  default (non-smoke) sizes.
+  a chunked on-disk ``lineitem`` store attached to a ``Database``
+  (``db.query``), checked against the same SQL over the store
+  materialized in memory.  Rows arrive orderkey-ascending so every
+  chunk covers a narrow key band; the zone maps must skip at least half
+  of all the statements' chunks (``db.explain``'s dry walk), and the
+  skipping scans must be ≥2× faster in aggregate than full scans
+  (``scan_store`` without a WHERE, the statement then run in memory) on
+  the numpy backend at default (non-smoke) sizes.
 
 Totals and chunks-skipped ratios land in ``BENCH_results.json`` via the
 session fixture.
@@ -33,8 +34,16 @@ from repro.bench.tables import render_rows
 from repro.datagen import generate_tpch, generate_workload
 from repro.datagen.tpch import generate_to_store
 from repro.relational import kernels
-from repro.sql import execute, execute_on_relation, execute_plan, parse, plan_query
-from repro.storage.sqlbridge import ScanStats, query_store, scan_store
+from repro.sql import (
+    Database,
+    execute,
+    execute_on_relation,
+    execute_plan,
+    parse,
+    plan_query,
+)
+from repro.storage.sqlbridge import scan_store
+from scale_smoke import explained_skips
 
 _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -129,14 +138,15 @@ def test_optimizer_store_scans(benchmark, show, bench_results, tmp_path):
         def _full_scan(sql: str):
             return execute_on_relation(scan_store(store, columns=columns), sql)
 
+        db = Database.from_relations()
+        db.attach_store(store)
         in_memory = store.to_relation()
         for sql in sqls:
-            optimized = query_store(store, sql)
+            optimized = db.query(sql)
             oracle = execute_on_relation(in_memory, sql)
             assert optimized.rows == oracle.rows, sql
             assert _full_scan(sql).rows == oracle.rows, sql
-
-        stats = ScanStats()
+        verdicts = [explained_skips(db, sql) for sql in sqls]
 
         def _total(skip: bool) -> float:
             total = 0.0
@@ -144,7 +154,7 @@ def test_optimizer_store_scans(benchmark, show, bench_results, tmp_path):
                 for sql in sqls:
                     start = time.perf_counter()
                     if skip:
-                        query_store(store, sql, scan_stats=stats)
+                        db.query(sql)
                     else:
                         _full_scan(sql)
                     total += time.perf_counter() - start
@@ -155,7 +165,9 @@ def test_optimizer_store_scans(benchmark, show, bench_results, tmp_path):
         store.close()
 
     backend = kernels.active_backend_name()
-    skip_ratio = stats.chunks_skipped / stats.chunks_total
+    skip_ratio = sum(skipped for skipped, _ in verdicts) / sum(
+        total for _, total in verdicts
+    )
     speedup = totals["off"] / totals["on"] if totals["on"] else float("inf")
     show(
         render_rows(

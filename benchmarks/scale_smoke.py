@@ -6,7 +6,9 @@ under ``tracemalloc``:
 
 * discovery — level-1 TANE plus the Table 5 FD assessment
   (``partkey → suppkey``), exact spill-merge mode;
-* SQL — a pushed-down aggregate through ``query_store``;
+* SQL — a pushed-down aggregate over the store attached to a
+  ``Database`` (``db.query``), plus a selective orderkey probe whose
+  zone-map verdict comes from ``db.explain``;
 * monitoring — the full store replayed through the service, one chunk
   per batch (``run_store_ingest``).
 
@@ -21,6 +23,7 @@ Run: ``PYTHONPATH=src python benchmarks/scale_smoke.py``
 
 from __future__ import annotations
 
+import re
 import sys
 import tempfile
 import tracemalloc
@@ -30,12 +33,20 @@ from repro.bench.timing import BenchResults, Timer
 from repro.datagen import tpch
 from repro.relational import kernels
 from repro.service.harness import run_store_ingest
+from repro.sql import Database
 from repro.storage.profile import assess_fd, tane_level1
-from repro.storage.sqlbridge import ScanStats, query_store
 
 SCALE = "small"  # SF 0.01
 CHUNK_ROWS = 4096
 FLOOR_BYTES = 32 * 1024 * 1024
+
+
+def explained_skips(db: Database, sql: str) -> tuple[int, int]:
+    """``(skipped, total)`` chunks from EXPLAIN's dry zone-map walk —
+    the same walk the statement's store scan runs."""
+    match = re.search(r"zone maps skip (\d+)/(\d+) chunks", db.explain(sql))
+    assert match, f"no store scan in the plan of {sql!r}"
+    return int(match[1]), int(match[2])
 
 
 def main() -> int:
@@ -68,23 +79,23 @@ def main() -> int:
                 mode="exact",
             )
             verdict = assess_fd(store, ("partkey",), ("suppkey",))
-            result = query_store(
-                store,
+            db = Database.from_relations()
+            db.attach_store(store)
+            result = db.query(
                 "SELECT suppkey, COUNT(*) AS c FROM lineitem "
-                "WHERE quantity > 30 GROUP BY suppkey",
+                "WHERE quantity > 30 GROUP BY suppkey"
             )
             # A selective orderkey probe: rows arrive orderkey-ascending,
             # so the zone maps should refute almost every chunk.
-            scan_stats = ScanStats()
             probe_key = store.chunk_zone(
                 "orderkey", store.num_chunks // 2
             ).min_value
-            probe = query_store(
-                store,
+            probe_sql = (
                 f"SELECT orderkey, quantity FROM lineitem "
-                f"WHERE orderkey = {probe_key}",
-                scan_stats=scan_stats,
+                f"WHERE orderkey = {probe_key}"
             )
+            probe = db.query(probe_sql)
+            zone_skipped, zone_chunks = explained_skips(db, probe_sql)
             # The ingest harness resets the shared peak counter for its
             # own phase report, so snapshot the discovery/SQL peak first.
             _, discovery_peak = tracemalloc.get_traced_memory()
@@ -102,8 +113,7 @@ def main() -> int:
             f"[scale-smoke] tane level-1: {len(fds)} unary FDs; "
             f"partkey->suppkey confidence {verdict.confidence:.4f}; "
             f"sql groups {len(result.rows)}; "
-            f"zone maps skipped {scan_stats.chunks_skipped}/"
-            f"{scan_stats.chunks_total} chunks "
+            f"zone maps skipped {zone_skipped}/{zone_chunks} chunks "
             f"({len(probe.rows)} probe rows); "
             f"ingest {report['tuples']:,} tuples, {report['alerts']} alerts"
         )
@@ -120,14 +130,14 @@ def main() -> int:
             peak_mb=round(peak / 1e6, 2),
             ceiling_mb=round(ceiling / 1e6, 2),
             alerts=report["alerts"],
-            zone_chunks=scan_stats.chunks_total,
-            zone_skipped=scan_stats.chunks_skipped,
+            zone_chunks=zone_chunks,
+            zone_skipped=zone_skipped,
         )
         results.write(merge=True)
 
         assert report["tuples"] == store.num_rows, "ingest dropped tuples"
         assert probe.rows, "orderkey probe found no rows"
-        assert scan_stats.chunks_skipped >= scan_stats.chunks_total // 2, (
+        assert zone_skipped >= zone_chunks // 2, (
             "zone maps skipped fewer than half the chunks on a point probe"
         )
         assert verdict.confidence < 1.0, "partkey->suppkey must be violated"

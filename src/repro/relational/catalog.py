@@ -6,6 +6,8 @@ then, they are allowed to add other FDs ... and finally they can start
 the process of FD validation" (Section 6).  A catalog persists to a
 directory holding one CSV per relation and a ``catalog.json`` manifest
 with schemas and declared FDs.
+SQL also reads attached chunked stores, through :meth:`Catalog.table`;
+the relation API, FDs and :meth:`~Catalog.save` never see them.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .schema import RelationSchema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; avoids an import cycle
     from repro.fd.fd import FunctionalDependency
+    from repro.storage.reader import StoredRelation
 
 __all__ = ["Catalog"]
 
@@ -34,6 +37,7 @@ class Catalog:
     def __init__(self) -> None:
         self._relations: dict[str, Relation] = {}
         self._fds: dict[str, list["FunctionalDependency"]] = {}
+        self._stores: dict[str, "StoredRelation"] = {}
 
     # ------------------------------------------------------------------
     # Relations
@@ -41,8 +45,9 @@ class Catalog:
     def add_relation(self, relation: Relation, replace: bool = False) -> None:
         """Register ``relation`` under its schema name."""
         name = relation.name
-        if name in self._relations and not replace:
+        if not replace and (name in self._relations or name in self._stores):
             raise DuplicateRelationError(name)
+        self._stores.pop(name, None)
         self._relations[name] = relation
         self._fds.setdefault(name, [])
 
@@ -69,6 +74,31 @@ class Catalog:
     def relation_names(self) -> list[str]:
         """All relation names, sorted."""
         return sorted(self._relations)
+
+    # ------------------------------------------------------------------
+    # SQL tables
+    # ------------------------------------------------------------------
+    def attach_store(self, store: "StoredRelation", replace: bool = False) -> None:
+        """Register a chunked store as a SQL table (only :meth:`table`
+        returns it); ``replace`` drops whatever held the name."""
+        name = store.name
+        if not replace and (name in self._relations or name in self._stores):
+            raise DuplicateRelationError(name)
+        self._relations.pop(name, None)
+        self._fds.pop(name, None)
+        self._stores[name] = store
+
+    def table(self, name: str) -> "Relation | StoredRelation":
+        """What a SQL scan of ``name`` reads: a relation or an attached store."""
+        if name in self._relations:
+            return self._relations[name]
+        if name in self._stores:
+            return self._stores[name]
+        raise UnknownRelationError(name)
+
+    def table_names(self) -> list[str]:
+        """Every SQL-visible name (relations and attached stores), sorted."""
+        return sorted([*self._relations, *self._stores])
 
     def __contains__(self, name: object) -> bool:
         return name in self._relations

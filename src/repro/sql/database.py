@@ -12,13 +12,12 @@ The facade adds no semantics of its own — :meth:`Database.query` is
 ``execute`` — so everything the property suite proves about the executor
 holds here too.
 
-Chunked stores attach through a per-database **store cache**:
-:meth:`Database.attach_store` (and :meth:`Database.query_store`) keep
-each opened :class:`~repro.storage.reader.StoredRelation` alive, keyed
-by resolved directory, so repeated queries against the same store reuse
-its parsed manifest, mmaps, and remap caches instead of re-opening the
-directory per call.  :meth:`Database.explain` renders the optimized
-plan plus the zone-map chunk-skip counts for store-backed scans.
+:meth:`Database.attach_store` registers a chunked
+:class:`~repro.storage.reader.StoredRelation` as a table that
+:meth:`Database.query` scans chunk by chunk; a per-database cache keyed
+by resolved directory opens each store once.  :meth:`Database.explain`
+renders the optimized plan plus the zone-map chunk-skip counts for
+store-backed scans.
 """
 
 from __future__ import annotations
@@ -29,8 +28,13 @@ from typing import TYPE_CHECKING, Union
 from repro.relational.catalog import Catalog
 from repro.relational.relation import Relation
 
-from .errors import SqlExecutionError
-from .executor import ResultSet, compile_expression, execute, execute_plan
+from .executor import (
+    ResultSet,
+    _well_formed,
+    compile_expression,
+    execute,
+    execute_plan,
+)
 from .optimize import optimize_plan, render_plan
 from .parser import parse
 from .plan import Filter, Plan, Scan, plan_query, to_sql
@@ -49,8 +53,6 @@ class Database:
         self.catalog = catalog
         #: Opened stores by resolved directory (the open-once cache).
         self._stores: dict[str, "StoredRelation"] = {}
-        #: The same stores by relation name (query_store routing).
-        self._store_names: dict[str, "StoredRelation"] = {}
 
     @classmethod
     def from_relations(cls, *relations: Relation) -> "Database":
@@ -61,7 +63,8 @@ class Database:
         return cls(catalog)
 
     def table_names(self) -> list[str]:
-        return list(self.catalog.relation_names())
+        """Every table a statement can read: relations and attached stores."""
+        return self.catalog.table_names()
 
     # ------------------------------------------------------------------
     # Chunked stores
@@ -86,66 +89,25 @@ class Database:
             if opened is None:
                 opened = open_store(store)
                 self._stores[key] = opened
-        self._store_names.setdefault(opened.name, opened)
         return opened
-
-    def store(self, name: str) -> "StoredRelation":
-        """The cached open store registered under ``name``."""
-        try:
-            return self._store_names[name]
-        except KeyError:
-            raise SqlExecutionError(f"no attached store named {name!r}") from None
 
     def attach_store(
         self,
         store: "Union[str, Path, StoredRelation]",
-        where=None,
-        columns=None,
-        limit: int | None = None,
         replace: bool = False,
-    ) -> Relation:
+    ) -> "StoredRelation":
         """Register a chunked on-disk store as a queryable table.
 
         ``store`` may be a directory path or an open
         :class:`StoredRelation`; the opened handle is cached on the
-        database, so re-attaching (or :meth:`query_store`) never
-        re-reads the manifest or rebuilds remap caches.  The store is
-        scanned chunk-at-a-time with the optional filter pushed down
-        (:func:`repro.storage.sqlbridge.scan_store`), so only surviving
-        rows are ever materialized; the resulting relation joins the
-        catalog under the store's name and is returned.  Pass
-        ``where``/``columns``/``limit`` to bound the resident slice of
-        a store larger than RAM.
+        database, so re-attaching never re-reads the manifest or
+        rebuilds remap caches.  Nothing is read here.  A taken name
+        raises :class:`DuplicateRelationError` (and registers nothing)
+        unless ``replace``.  Returns the open store.
         """
-        from repro.storage.sqlbridge import scan_store
-
         opened = self._open_store(store)
-        relation = scan_store(opened, where=where, columns=columns, limit=limit)
-        self.catalog.add_relation(relation, replace=replace)
-        return relation
-
-    def query_store(
-        self,
-        sql: str,
-        scan_stats=None,
-    ) -> ResultSet:
-        """Run one single-table statement straight off its attached store.
-
-        The FROM table is resolved through the store cache (no
-        re-open); WHERE and the referenced columns push down into the
-        chunked scan, zone maps skip refuted chunks, and only the
-        survivors are materialized.  ``scan_stats`` (a
-        :class:`~repro.storage.sqlbridge.ScanStats`) receives the skip
-        counters.
-        """
-        from repro.storage.sqlbridge import query_store
-
-        query = parse(sql)
-        return query_store(
-            self.store(query.table),
-            sql,
-            scan_stats=scan_stats,
-        )
+        self.catalog.attach_store(opened, replace=replace)
+        return opened
 
     # ------------------------------------------------------------------
     # Querying
@@ -195,36 +157,26 @@ class Database:
         return "\n".join(lines) + "\n"
 
     def _scan_reports(self, plan: Plan) -> list[str]:
-        """One ``scan <table>: …`` line per leftmost scan of the plan."""
-        from repro.storage.sqlbridge import count_skippable_chunks
+        """One ``scan <table>: …`` line for the plan's scan."""
+        from repro.storage.sqlbridge import _surviving_chunks
 
-        node = plan
-        pushed: list = []
+        parent, node = None, plan
         while not isinstance(node, Scan):
-            if isinstance(node, Filter):
-                pushed.append(node.predicate)
-            else:
-                pushed = []  # residual/having filters are not on the scan
-            node = node.source
-        store = self._store_names.get(node.table)
-        if store is None:
+            parent, node = node, node.source
+        source = self.catalog.table(node.table)
+        if isinstance(source, Relation):
             return [f"scan {node.table}: in-memory relation (no zone maps)"]
-        # Innermost pushed filter first — the order scan_store tests them.
-        predicates = [compile_expression(p) for p in reversed(pushed)]
+        # The executor fuses the filter directly above the scan into the
+        # store scan when it is well formed.
         where = None
-        for predicate in predicates:
-            where = predicate if where is None else _ir_and(where, predicate)
-        stats = count_skippable_chunks(store, where)
+        if isinstance(parent, Filter):
+            where = compile_expression(parent.predicate)
+            where = where if _well_formed(where) else None
+        skipped = source.num_chunks - len(_surviving_chunks(source, where))
         return [
             f"scan {node.table}: store-backed, zone maps skip "
-            f"{stats.chunks_skipped}/{stats.chunks_total} chunks"
+            f"{skipped}/{source.num_chunks} chunks"
         ]
-
-
-def _ir_and(left, right):
-    from repro.relational import expr as ir
-
-    return ir.And(left, right)
 
 
 def connect(source: Catalog | Database) -> Database:

@@ -14,6 +14,10 @@ one side's dictionary into the other's code space and run the
 ``group_rows``; ORDER BY pre-computes integer ranks per dictionary
 entry and argsorts them with the ``sort_index`` kernel.
 
+A table is what ``Catalog.table(name)`` returns: a relation, or an
+attached store read through :func:`repro.storage.sqlbridge.scan_store`
+with the ``Filter`` directly above its ``Scan`` fused into the scan.
+
 Name resolution is *static and eager*: every column reference in a
 filter, projection, join key, or sort key is resolved against the
 input frame (respecting ``t.col`` qualifiers, rejecting ambiguous
@@ -41,7 +45,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.relational import expr as ir
 from repro.relational import kernels
@@ -80,6 +84,9 @@ from .plan import (
     SortKey,
     plan_query,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; storage imports this module
+    from repro.storage.sqlbridge import ScanStats
 
 __all__ = [
     "ResultRow",
@@ -183,8 +190,7 @@ class ResultSet:
 # ----------------------------------------------------------------------
 def execute(catalog: Catalog, sql: str) -> ResultSet:
     """Parse, plan, optimize and run ``sql`` against a catalog."""
-    plan = optimize_plan(plan_query(parse(sql)), StatisticsProvider(catalog=catalog))
-    return _ColumnarEngine(catalog, None).run(plan)
+    return _execute_query(catalog, parse(sql))
 
 
 def execute_plan(
@@ -205,27 +211,32 @@ def execute_plan(
             f"execute_plan runs the plan it is given; optimize must be 'off', "
             f"got {optimize!r} (call optimize_plan first)"
         )
-    return _ColumnarEngine(catalog, None).run(plan)
+    return _ColumnarEngine(catalog).run(plan)
 
 
 def execute_on_relation(relation: Relation, sql: str) -> ResultSet:
-    """Parse and run ``sql``; the FROM clause must name this relation."""
+    """:func:`execute` over a catalog holding just ``relation``; the
+    FROM clause must name it."""
     query = parse(sql)
     if query.table != relation.name:
         raise SqlExecutionError(
             f"query targets {query.table!r} but got relation {relation.name!r}"
         )
-    return _run(relation, query)
+    catalog = Catalog()
+    catalog.add_relation(relation)
+    return _execute_query(catalog, query)
 
 
-def _run(relation: Relation, query: SelectQuery) -> ResultSet:
-    """Plan, optimize and run a parsed query against one relation."""
-    plan = optimize_plan(plan_query(query), StatisticsProvider(relation=relation))
-    return _ColumnarEngine(None, relation).run(plan)
+def _execute_query(
+    catalog: Catalog, query: SelectQuery, scan_stats: "ScanStats | None" = None
+) -> ResultSet:
+    """Plan, optimize and run a parsed query (``scan_stats``: see _table)."""
+    plan = optimize_plan(plan_query(query), StatisticsProvider(catalog=catalog))
+    return _ColumnarEngine(catalog, scan_stats).run(plan)
 
 
 # ----------------------------------------------------------------------
-# AST → IR compilation (name-based; kept as a public compat surface)
+# AST → IR compilation
 # ----------------------------------------------------------------------
 def compile_expression(expression: Expression) -> ir.Predicate:
     """Compile a parsed WHERE AST into the relational predicate IR.
@@ -233,38 +244,64 @@ def compile_expression(expression: Expression) -> ir.Predicate:
     Column references compile by *name* (qualifiers are dropped); the
     executor itself compiles by resolved frame position instead.
     """
+    return _compile(expression, lambda ref: ref.name)
+
+
+def _compile(expression: Expression, column: Callable[[ColumnRef], str]) -> Any:
+    """AST → IR, naming each referenced column ``column(ref)``."""
     if isinstance(expression, ColumnRef):
-        return ir.Col(expression.name)
+        return ir.Col(column(expression))
     if isinstance(expression, Literal):
         return ir.Lit(expression.value)
     if isinstance(expression, Arith):
         return ir.Arith(
             expression.op,
-            compile_expression(expression.left),
-            compile_expression(expression.right),
+            _compile(expression.left, column),
+            _compile(expression.right, column),
         )
     if isinstance(expression, Comparison):
         return ir.Cmp(
             expression.op,
-            compile_expression(expression.left),
-            compile_expression(expression.right),
+            _compile(expression.left, column),
+            _compile(expression.right, column),
         )
     if isinstance(expression, InList):
-        membership = ir.InList(compile_expression(expression.operand), expression.values)
+        membership = ir.InList(_compile(expression.operand, column), expression.values)
         return ir.Not(membership) if expression.negated else membership
     if isinstance(expression, IsNull):
-        return ir.IsNull(compile_expression(expression.operand), expression.negated)
+        return ir.IsNull(_compile(expression.operand, column), expression.negated)
     if isinstance(expression, Not):
-        return ir.Not(compile_expression(expression.operand))
+        return ir.Not(_compile(expression.operand, column))
     if isinstance(expression, And):
         return ir.And(
-            compile_expression(expression.left), compile_expression(expression.right)
+            _compile(expression.left, column), _compile(expression.right, column)
         )
     if isinstance(expression, Or):
         return ir.Or(
-            compile_expression(expression.left), compile_expression(expression.right)
+            _compile(expression.left, column), _compile(expression.right, column)
         )
     raise SqlExecutionError(f"cannot evaluate {expression!r} as a predicate")
+
+
+def _well_formed(node: Any, predicate: bool = True) -> bool:
+    """Whether ``node`` is a predicate over operands all the way down.
+
+    Evaluating any other tree raises a message quoting the IR, whose
+    column names differ between a frame (positions) and a store scan.
+    """
+    if not predicate:
+        if isinstance(node, ir.Arith):
+            return _well_formed(node.left, False) and _well_formed(node.right, False)
+        return isinstance(node, (ir.Col, ir.Lit))
+    if isinstance(node, (ir.And, ir.Or)):
+        return _well_formed(node.left) and _well_formed(node.right)
+    if isinstance(node, ir.Not):
+        return _well_formed(node.operand)
+    if isinstance(node, ir.Cmp):
+        return _well_formed(node.left, False) and _well_formed(node.right, False)
+    return isinstance(node, (ir.InList, ir.IsNull)) and _well_formed(
+        node.operand, False
+    )
 
 
 # ----------------------------------------------------------------------
@@ -426,9 +463,7 @@ class _CFrame:
         qualifier: str,
         subset: tuple[str, ...] | None = None,
     ) -> "_CFrame":
-        names = list(relation.attribute_names)
-        if subset is not None:
-            names = [name for name in names if name in subset] or names[:1]
+        names = _kept_names(relation.attribute_names, subset)
         columns = [relation.column(name) for name in names]
         return cls(names, [qualifier] * len(names), columns, relation.num_rows)
 
@@ -438,6 +473,14 @@ class _CFrame:
 
     def resolve(self, ref: ColumnRef) -> int:
         return _resolve_ref(self.names, self.quals, ref)
+
+
+def _kept_names(names: Sequence[str], subset: tuple[str, ...] | None) -> list[str]:
+    """A table's frame columns: ``subset`` in schema order (at least one
+    column, which carries the row count), or all of them."""
+    if subset is None:
+        return list(names)
+    return [name for name in names if name in subset] or list(names[:1])
 
 
 class _FrameSchema:
@@ -485,9 +528,9 @@ def _compact(column: EncodedColumn) -> EncodedColumn:
 
 
 class _ColumnarEngine:
-    def __init__(self, catalog: Catalog | None, relation: Relation | None) -> None:
+    def __init__(self, catalog: Catalog, scan_stats: "ScanStats | None" = None) -> None:
         self._catalog = catalog
-        self._relation = relation
+        self._scan_stats = scan_stats
 
     def run(self, plan: Plan) -> ResultSet:
         limit, project = _peel_result_shape(plan)
@@ -524,10 +567,12 @@ class _ColumnarEngine:
     # -- operators ------------------------------------------------------
     def _frame(self, plan: Plan) -> _CFrame:
         if isinstance(plan, Scan):
-            return _CFrame.from_relation(
-                self._scan_relation(plan), plan.binding, plan.columns
-            )
+            return self._table(plan, stats=self._scan_stats)
         if isinstance(plan, Filter):
+            if isinstance(plan.source, Scan):
+                fused = self._fused_store_scan(plan.source, plan.predicate)
+                if fused is not None:
+                    return fused
             return self._filter(self._frame(plan.source), plan)
         if isinstance(plan, Join):
             return self._join(self._frame(plan.source), plan)
@@ -537,65 +582,50 @@ class _ColumnarEngine:
             return self._sort(self._frame(plan.source), plan.keys)
         raise SqlExecutionError(f"unsupported plan node {type(plan).__name__}")
 
-    def _scan_relation(self, scan: Scan) -> Relation:
-        if self._catalog is None:
-            assert self._relation is not None
-            return self._relation
-        return self._catalog.relation(scan.table)
+    def _table(
+        self,
+        node: Scan | Join,
+        where: ir.Predicate | None = None,
+        stats: "ScanStats | None" = None,
+    ) -> _CFrame:
+        """The frame of a scan's (or a join's right) table: a relation's
+        columns, or a scan of an attached store with ``where`` pushed in."""
+        source = self._catalog.table(node.table)
+        if isinstance(source, Relation):
+            return _CFrame.from_relation(source, node.binding, node.columns)
+        from repro.storage.sqlbridge import scan_store
+
+        names = _kept_names(source.schema.attribute_names, node.columns)
+        try:
+            relation = scan_store(source, where=where, columns=names, stats=stats)
+        except (ir.ExpressionError, UnknownAttributeError) as error:
+            raise SqlExecutionError(str(error)) from None
+        return _CFrame.from_relation(relation, node.binding)
+
+    def _fused_store_scan(self, scan: Scan, predicate: Expression) -> _CFrame | None:
+        """``Filter(Scan(store))`` as one zone-skipping scan that
+        evaluates the predicate once per surviving chunk — or ``None``
+        for a relation or an ill-formed predicate (see _well_formed)."""
+        source = self._catalog.table(scan.table)
+        if isinstance(source, Relation):
+            return None
+        names = _kept_names(source.schema.attribute_names, scan.columns)
+        quals = [scan.binding] * len(names)
+        where = _compile(predicate, lambda ref: names[_resolve_ref(names, quals, ref)])
+        if not _well_formed(where):
+            return None
+        return self._table(scan, where, self._scan_stats)
 
     def _filter(self, frame: _CFrame, node: Filter) -> _CFrame:
-        predicate = self._compile(frame, node.predicate)
+        predicate = _compile(node.predicate, lambda ref: str(frame.resolve(ref)))
         try:
             rows = ir.filter_rows(_FrameRelation(frame), predicate)
         except (ir.ExpressionError, UnknownAttributeError) as error:
             raise SqlExecutionError(str(error)) from None
         return frame.take(rows)
 
-    def _compile(self, frame: _CFrame, expression: Expression) -> Any:
-        if isinstance(expression, ColumnRef):
-            return ir.Col(str(frame.resolve(expression)))
-        if isinstance(expression, Literal):
-            return ir.Lit(expression.value)
-        if isinstance(expression, Arith):
-            return ir.Arith(
-                expression.op,
-                self._compile(frame, expression.left),
-                self._compile(frame, expression.right),
-            )
-        if isinstance(expression, Comparison):
-            return ir.Cmp(
-                expression.op,
-                self._compile(frame, expression.left),
-                self._compile(frame, expression.right),
-            )
-        if isinstance(expression, InList):
-            membership = ir.InList(
-                self._compile(frame, expression.operand), expression.values
-            )
-            return ir.Not(membership) if expression.negated else membership
-        if isinstance(expression, IsNull):
-            return ir.IsNull(
-                self._compile(frame, expression.operand), expression.negated
-            )
-        if isinstance(expression, Not):
-            return ir.Not(self._compile(frame, expression.operand))
-        if isinstance(expression, And):
-            return ir.And(
-                self._compile(frame, expression.left),
-                self._compile(frame, expression.right),
-            )
-        if isinstance(expression, Or):
-            return ir.Or(
-                self._compile(frame, expression.left),
-                self._compile(frame, expression.right),
-            )
-        raise SqlExecutionError(f"cannot evaluate {expression!r} as a predicate")
-
     def _join(self, frame: _CFrame, node: Join) -> _CFrame:
-        if self._catalog is None:
-            raise SqlExecutionError("joins require a catalog")
-        right_rel = self._catalog.relation(node.table)
-        right = _CFrame.from_relation(right_rel, node.binding, node.columns)
+        right = self._table(node)
         backend = kernels.get_backend()
         left_codes = []
         right_codes = []

@@ -4,11 +4,10 @@ The paper's profiling metadata — per-attribute distinct counts and null
 counts — is exactly what a cost-based optimizer consumes, so this module
 reuses it directly: :func:`relation_stats` reads
 :class:`~repro.relational.statistics.RelationStatistics` (dictionary
-cardinalities, free on encoded columns), :func:`store_stats` reads the
-store manifest written at finalize time, and when the engine runs in
-``approx="sketch"`` mode the distinct estimates are re-derived through
-the PR-9 HyperLogLog so the optimizer exercises the same sketch path a
-scale-out deployment would.
+cardinalities, free on encoded columns) and, in ``approx="sketch"``
+mode, re-derives the distinct estimates through the HyperLogLog;
+:func:`store_stats` reads an attached store's manifest (exact, nothing
+decoded).  :class:`StatisticsProvider` picks one per table name.
 
 Two numbers matter downstream: ``distinct`` (possibly sketch-estimated,
 drives join-order cost ranking) and ``exact_distinct`` (dictionary
@@ -22,13 +21,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 import repro.sketch
+from repro.relational.errors import UnknownRelationError
+from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
 from repro.relational.types import AttributeType
 from repro.sketch import estimate_distinct
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.relational.catalog import Catalog
-    from repro.relational.relation import Relation
     from repro.storage.reader import StoredRelation
 
 __all__ = [
@@ -92,7 +92,7 @@ def _sketchable(distinct_exact: int, values) -> float:
     return estimate_distinct(values)
 
 
-def relation_stats(relation: "Relation") -> TableStats:
+def relation_stats(relation: Relation) -> TableStats:
     """Build :class:`TableStats` from an in-memory relation.
 
     Distinct and null counts come from :class:`RelationStatistics`
@@ -138,14 +138,13 @@ def store_stats(store: "StoredRelation") -> TableStats:
 class StatisticsProvider:
     """Lazily materializes :class:`TableStats` per table name.
 
-    Backed by a catalog, a single relation (the ``execute_on_relation``
-    path), or both; results are memoized for the lifetime of one
-    optimizer invocation so repeated lookups during rule application
-    stay O(1).
+    Backed by a catalog (``None``: every table is unknown); relations
+    get :func:`relation_stats`, attached stores :func:`store_stats`.
+    Results are memoized for the lifetime of one optimizer invocation
+    so repeated lookups during rule application stay O(1).
     """
 
     catalog: "Catalog | None" = None
-    relation: "Relation | None" = None
     _cache: dict[str, TableStats | None] = field(default_factory=dict)
 
     def table_stats(self, table: str) -> TableStats | None:
@@ -154,8 +153,12 @@ class StatisticsProvider:
         return self._cache[table]
 
     def _build(self, table: str) -> TableStats | None:
-        if self.relation is not None and self.relation.name == table:
-            return relation_stats(self.relation)
-        if self.catalog is not None and table in self.catalog:
-            return relation_stats(self.catalog.relation(table))
-        return None
+        if self.catalog is None:
+            return None
+        try:
+            source = self.catalog.table(table)
+        except UnknownRelationError:
+            return None
+        if isinstance(source, Relation):
+            return relation_stats(source)
+        return store_stats(source)

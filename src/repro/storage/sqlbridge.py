@@ -1,14 +1,14 @@
 """SQL over chunked stores: filter-pushdown scans with zone-map skips.
 
-The SQL executor runs against in-memory relations; this module is the
-bridge that gets a :class:`~repro.storage.reader.StoredRelation` under
-them without materializing it.  :func:`scan_store` walks the store one
-chunk at a time, evaluates the (compiled) WHERE predicate columnar on
-each chunk — the PR-8 mask kernels, identical error semantics — and
-materializes **only the surviving rows** (plus, optionally, only the
-requested columns).  Peak memory is one chunk plus the result, so a
-selective query over an SF-1 table runs in a fraction of the table's
-footprint.
+An attached store is an ordinary SQL table; the executor reads it
+through :func:`scan_store`, with the ``Filter`` directly above its
+``Scan`` fused into the call, so the WHERE runs once per surviving
+chunk.  :func:`scan_store` walks the store one chunk at a time,
+evaluates the (compiled) predicate columnar on each chunk — the
+predicate mask kernels, identical error semantics — and materializes
+**only the surviving rows** of the requested columns.  Peak memory is
+one chunk plus the result, so a selective query over an SF-1 table
+runs in a fraction of the table's footprint.
 
 One physical optimization rides the walk:
 
@@ -23,16 +23,12 @@ One physical optimization rides the walk:
   arithmetic), because the columnar evaluator's short-circuit
   reachability would surface that error even on an all-false chunk
   prefix — so a skip happens only where the full scan provably
-  returns nothing and raises nothing.
+  returns nothing and raises nothing.  :func:`_surviving_chunks` is
+  the one walk; ``EXPLAIN`` runs it dry.
 
-:func:`query_store` is the one-call form: parse the statement, push its
-WHERE *and* its projection down through the chunked scan — only the
-columns the statement references are ever decoded — then run the full
-query on the survivors (the executor re-checks the residual predicate —
-free on matches, and it keeps its property-tested semantics
-authoritative).
-:meth:`Database.attach_store <repro.sql.database.Database>` uses these
-to register chunked scans in a catalog.
+:func:`query_store` is a one-call shim: the statement runs through the
+same parse → plan → optimize → execute path over a catalog holding
+only the store.
 """
 
 from __future__ import annotations
@@ -42,10 +38,11 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.relational import expr as ir
+from repro.relational.catalog import Catalog
+from repro.relational.errors import UnknownRelationError
 from repro.relational.relation import Relation
-from repro.sql import ast
 from repro.sql.errors import SqlExecutionError
-from repro.sql.executor import ResultSet, compile_expression, execute_on_relation
+from repro.sql.executor import ResultSet, _execute_query, compile_expression
 from repro.sql.parser import parse
 
 from .format import ChunkZone
@@ -54,7 +51,6 @@ from .reader import StoredRelation
 __all__ = [
     "ScanStats",
     "compile_where",
-    "count_skippable_chunks",
     "query_store",
     "scan_store",
 ]
@@ -66,7 +62,7 @@ class ScanStats:
 
     Pass an instance via ``scan_store(..., stats=...)`` (or
     ``query_store(..., scan_stats=...)``) to observe how many chunks the
-    zone maps refuted; ``EXPLAIN`` and the benchmarks read these.
+    zone maps refuted (``EXPLAIN`` reports the same count, dry).
     """
 
     chunks_total: int = 0
@@ -75,50 +71,6 @@ class ScanStats:
     @property
     def chunks_scanned(self) -> int:
         return self.chunks_total - self.chunks_skipped
-
-
-def _collect_columns(node: Any, out: set[str]) -> bool:
-    """Gather column names referenced by an AST node into ``out``.
-
-    Returns ``False`` when the node demands every column (``*``), which
-    makes projection pushdown impossible for the whole statement.
-    """
-    if isinstance(node, ast.ColumnRef):
-        if node.name == "*":
-            return False
-        out.add(node.name)
-        return True
-    if isinstance(node, (ast.Literal, ast.CountStar)) or node is None:
-        return True
-    if isinstance(node, ast.CountDistinct):
-        out.update(node.columns)
-        return True
-    if isinstance(node, ast.AggregateCall):
-        return _collect_columns(node.argument, out)
-    if isinstance(node, (ast.Arith, ast.Comparison, ast.And, ast.Or)):
-        left = _collect_columns(node.left, out)
-        return _collect_columns(node.right, out) and left
-    if isinstance(node, (ast.InList, ast.IsNull, ast.Not)):
-        return _collect_columns(node.operand, out)
-    return False  # unknown node shape: scan everything, stay correct
-
-
-def _referenced_columns(query: ast.SelectQuery) -> set[str] | None:
-    """Column names a statement touches, or ``None`` for "all of them"."""
-    names: set[str] = set()
-    for item in query.items:
-        if not _collect_columns(item.expression, names):
-            return None
-    if not _collect_columns(query.where, names):
-        return None
-    if not _collect_columns(query.having, names):
-        return None
-    for key in query.group_by:
-        names.add(key.rsplit(".", 1)[-1])
-    for order in query.order_by:
-        if not _collect_columns(order.expression, names):
-            return None
-    return names
 
 
 def compile_where(condition: str) -> ir.Predicate:
@@ -339,21 +291,38 @@ def _chunk_refuted(
     return False
 
 
+def _surviving_chunks(
+    store: StoredRelation, predicate: ir.Predicate | None
+) -> list[int]:
+    """The chunks whose zone maps do not refute ``predicate``, in order.
+
+    No chunk is read: this is the walk :func:`scan_store` reads the
+    survivors of and ``EXPLAIN`` counts.
+    """
+    if predicate is None:
+        return list(range(store.num_chunks))
+    conjuncts = _split_conjuncts(predicate)
+    sizes = store.manifest.chunk_sizes
+    return [
+        chunk
+        for chunk in range(store.num_chunks)
+        if not _chunk_refuted(conjuncts, _zone_lookup(store, chunk), sizes[chunk])
+    ]
+
+
 def scan_store(
     store: StoredRelation,
     where: "str | ir.Predicate | None" = None,
     columns: Sequence[str] | None = None,
-    limit: int | None = None,
     stats: ScanStats | None = None,
 ) -> Relation:
     """A chunked, filter-pushdown scan materializing only survivors.
 
     ``where`` (SQL condition string or IR predicate) is evaluated
     columnar per chunk; ``columns`` prunes the output width (predicate
-    columns are read regardless but not kept); ``limit`` stops the walk
-    as soon as enough rows survive; ``stats`` receives the zone-map
-    skip counters.  Chunks whose zone map refutes a WHERE conjunct are
-    skipped without being read (format-v2 store).
+    columns are read regardless but not kept); ``stats`` receives the
+    zone-map skip counters.  Chunks whose zone map refutes a WHERE
+    conjunct are skipped without being read (format-v2 store).
     The result is an ordinary in-memory :class:`Relation` carrying the
     store's schema (projected), ready for the executor.
     """
@@ -385,50 +354,18 @@ def scan_store(
         store.schema if columns is None else store.schema.project(out_names)
     )
     keep = tuple(range(len(out_names)))
-    conjuncts = [] if predicate is None else _split_conjuncts(predicate)
-    surviving: list[int] = []
-    for chunk in range(store.num_chunks):
-        if conjuncts and _chunk_refuted(
-            conjuncts, _zone_lookup(store, chunk), store.manifest.chunk_sizes[chunk]
-        ):
-            continue
-        surviving.append(chunk)
+    surviving = _surviving_chunks(store, predicate)
     if stats is not None:
         stats.chunks_total = store.num_chunks
         stats.chunks_skipped = store.num_chunks - len(surviving)
     rows: list[tuple[Any, ...]] = []
     for chunk in surviving:
-        if limit is not None and len(rows) >= limit:
-            break
         relation = store.chunk_relation(chunk, scan_names)
         if predicate is not None:
             relation = relation.select(predicate)
         for row in relation.rows():
             rows.append(tuple(row[i] for i in keep))
-            if limit is not None and len(rows) >= limit:
-                break
     return Relation.from_rows(out_schema, rows, validate=False)
-
-
-def count_skippable_chunks(
-    store: StoredRelation, where: "str | ir.Predicate | None"
-) -> ScanStats:
-    """Dry-run the zone-map walk: how many chunks ``where`` refutes.
-
-    No chunk is read — this is the number :func:`scan_store` skips,
-    which is what ``EXPLAIN`` reports.
-    """
-    predicate = _as_predicate(where)
-    stats = ScanStats(chunks_total=store.num_chunks)
-    if predicate is None:
-        return stats
-    conjuncts = _split_conjuncts(predicate)
-    for chunk in range(store.num_chunks):
-        if _chunk_refuted(
-            conjuncts, _zone_lookup(store, chunk), store.manifest.chunk_sizes[chunk]
-        ):
-            stats.chunks_skipped += 1
-    return stats
 
 
 def _zone_lookup(store: StoredRelation, chunk: int) -> _ZoneLookup:
@@ -446,39 +383,18 @@ def query_store(
     sql: str,
     scan_stats: ScanStats | None = None,
 ) -> ResultSet:
-    """Run one SQL statement against a store, WHERE pushed down.
-
-    The FROM clause must name the store's relation.  The WHERE clause
-    filters chunk by chunk during the scan, so only matching rows are
-    ever resident; the full statement then runs on the survivors
-    through the ordinary executor (joins against other tables are not
-    supported on this path — attach the store into a catalog for that).
-    """
+    """``execute`` over a catalog holding only ``store``, which the FROM
+    clause must name; ``scan_stats`` receives the FROM scan's counters."""
     query = parse(sql)
     if query.table != store.name:
         raise SqlExecutionError(
             f"query targets {query.table!r} but got store {store.name!r}"
         )
-    if query.joins:
+    catalog = Catalog()
+    catalog.attach_store(store)
+    try:
+        return _execute_query(catalog, query, scan_stats)
+    except UnknownRelationError as error:
         raise SqlExecutionError(
-            "query_store scans a single store; attach it to a Database "
-            "for joins"
-        )
-    predicate = (
-        compile_expression(query.where) if query.where is not None else None
-    )
-    referenced = _referenced_columns(query)
-    if referenced is None:
-        columns: tuple[str, ...] | None = None
-    else:
-        # Keep only real store attributes, in schema order — the rest
-        # are select-item aliases the executor resolves post-scan.  A
-        # column-free statement (SELECT COUNT(*) …) still needs one
-        # column to carry the row count.
-        columns = tuple(
-            name
-            for name in store.schema.attribute_names
-            if name in referenced
-        ) or store.schema.attribute_names[:1]
-    scan = scan_store(store, where=predicate, columns=columns, stats=scan_stats)
-    return execute_on_relation(scan, sql)
+            f"{error}: query_store sees only store {store.name!r}"
+        ) from None

@@ -387,13 +387,13 @@ class TestTileKnob:
         with pytest.raises(ValueError):
             EngineConfig.from_env()
 
-    def test_set_tile_overrides_env(self, monkeypatch):
+    def test_use_engine_tile_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_DC_TILE", "512")
         with use_engine(dc_tile=64):
             assert dc_engine._tile == 64
         assert dc_engine._tile == 4096  # the variable is read at import only
 
-    def test_set_tile_validation(self):
+    def test_tile_validation(self):
         with pytest.raises(ValueError):
             EngineConfig(dc_tile=0)
         with pytest.raises(ValueError):

@@ -436,7 +436,7 @@ class TestCacheBounds:
             child = relation.extend([(1, 0, 2)])
             assert child.stats.tracked_sets == 2
 
-    def test_configure_caches_validates(self):
+    def test_engine_config_validates_cache_bounds(self):
         with pytest.raises(ValueError):
             with use_engine(partition_cache_size=0):
                 pass

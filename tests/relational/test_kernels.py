@@ -58,7 +58,7 @@ class TestResolution:
 
 
 class TestOverrides:
-    def test_set_backend_beats_env(self, monkeypatch):
+    def test_use_engine_backend_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "python")
         if kernels.numpy_available():
             with use_engine(backend="numpy"):
@@ -66,18 +66,18 @@ class TestOverrides:
         with use_engine(backend="python"):
             assert kernels.active_backend_name() == "python"
 
-    def test_set_backend_auto_ignores_env(self, monkeypatch):
+    def test_use_engine_auto_ignores_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "python")
         with use_engine(backend="auto"):
             expected = "numpy" if kernels.numpy_available() else "python"
             assert kernels.active_backend_name() == expected
 
-    def test_set_backend_unknown_raises(self):
+    def test_use_engine_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="backend must be"):
             with use_engine(backend="gpu"):
                 pass
 
-    def test_set_backend_numpy_missing_raises_immediately(self, monkeypatch):
+    def test_use_engine_numpy_missing_raises_immediately(self, monkeypatch):
         monkeypatch.setattr(kernels, "_numpy_probe", False)
         before = kernels.get_backend()
         with pytest.raises(KernelBackendError):
@@ -86,13 +86,13 @@ class TestOverrides:
         assert kernels.get_backend() is before
         assert dc_engine._tile == EngineConfig().dc_tile  # nothing half-installed
 
-    def test_use_backend_restores_previous(self):
+    def test_use_engine_restores_previous(self):
         EngineConfig(backend="python").activate()
         with use_engine(backend="auto") as config:
             assert config.backend == "auto"
         assert kernels.get_backend().NAME == "python"
 
-    def test_use_backend_restores_on_error(self):
+    def test_use_engine_restores_on_error(self):
         before = kernels.get_backend()
         with pytest.raises(RuntimeError):
             with use_engine(backend="python"):

@@ -16,7 +16,7 @@ class TestModuleSwitch:
         EngineConfig(approx="sketch").activate()
         assert sketch._approx == "sketch"
 
-    def test_use_approx_scopes_and_restores(self):
+    def test_use_engine_approx_scopes_and_restores(self):
         with use_engine(approx="sketch"):
             assert sketch._approx == "sketch"
         assert sketch._approx == "exact"

@@ -22,7 +22,10 @@ from repro.relational.catalog import Catalog
 from repro.relational.relation import Relation
 from repro.sql import ast
 from repro.sql.errors import SqlExecutionError
-from repro.sql.executor import _run, execute, execute_on_relation
+from repro.sql.executor import execute, execute_on_relation, execute_plan
+from repro.sql.optimize import optimize_plan
+from repro.sql.plan import plan_query
+from repro.sql.stats import StatisticsProvider
 from tests.oracles import rowdict
 
 BACKENDS = kernels.available_backends()
@@ -33,6 +36,20 @@ string_values = st.one_of(st.none(), st.sampled_from(_STRINGS))
 int_values = st.one_of(st.none(), st.integers(0, 3))
 
 _COLUMNS = ("S1", "S2", "I1", "I2")
+
+
+def catalog_of(*relations: Relation) -> Catalog:
+    catalog = Catalog()
+    for relation in relations:
+        catalog.add_relation(relation)
+    return catalog
+
+
+def run_parsed(relation: Relation, query: ast.SelectQuery):
+    """``execute_on_relation`` for an already-parsed query."""
+    catalog = catalog_of(relation)
+    plan = optimize_plan(plan_query(query), StatisticsProvider(catalog=catalog))
+    return execute_plan(catalog, plan)
 
 
 @st.composite
@@ -215,7 +232,7 @@ def queries(draw):
 @given(relation=relations(), query=queries())
 def test_columnar_equals_rowdict(backend, relation, query):
     with use_engine(backend=backend):
-        columnar = _run(relation, query)
+        columnar = run_parsed(relation, query)
         oracle = rowdict.run(relation, query)
     assert columnar.columns == oracle.columns
     assert columnar.rows == oracle.rows

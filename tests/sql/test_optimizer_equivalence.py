@@ -23,7 +23,7 @@ from repro.relational.catalog import Catalog
 from repro.relational.errors import ReproError
 from repro.relational.relation import Relation
 from repro.sql import ast
-from repro.sql.executor import _run, execute, execute_plan
+from repro.sql.executor import execute, execute_plan
 from repro.sql.optimize import optimize_plan
 from repro.sql.parser import parse
 from repro.sql.plan import plan_query, to_sql
@@ -31,10 +31,12 @@ from repro.sql.stats import StatisticsProvider
 from tests.oracles.rowdict import RowdictEngine
 
 from .test_columnar_oracle import (
+    catalog_of,
     join_queries,
     join_relations,
     queries,
     relations,
+    run_parsed,
     where_expressions,
 )
 
@@ -55,13 +57,11 @@ def _run_on(engine, relation, query, optimize):
     """One single-table execution on either engine."""
     if engine == "columnar":
         if optimize == "on":
-            return _run(relation, query)
-        catalog = Catalog()
-        catalog.add_relation(relation)
-        return execute_plan(catalog, plan_query(query))
+            return run_parsed(relation, query)
+        return execute_plan(catalog_of(relation), plan_query(query))
     plan = plan_query(query)
     if optimize == "on":
-        plan = optimize_plan(plan, StatisticsProvider(relation=relation))
+        plan = optimize_plan(plan, StatisticsProvider(catalog=catalog_of(relation)))
     return RowdictEngine(None, relation).run(plan)
 
 
@@ -161,7 +161,7 @@ def test_join_equivalence(backend, relations_pair, query, engine):
 @given(relation=relations(), query=queries())
 def test_optimize_idempotent(relation, query):
     """Optimizing an already-optimized plan is a no-op."""
-    provider = StatisticsProvider(relation=relation)
+    provider = StatisticsProvider(catalog=catalog_of(relation))
     once = optimize_plan(plan_query(query), provider)
     assert optimize_plan(once, provider) == once
 

@@ -8,6 +8,7 @@ from repro.core.config import use_engine
 from repro.datagen import tpch
 from repro.relational import kernels
 from repro.relational.catalog import Catalog
+from repro.relational.errors import DuplicateRelationError
 from repro.sql.database import Database
 from repro.sql.errors import SqlExecutionError
 from repro.sql.executor import execute_on_relation
@@ -56,13 +57,6 @@ class TestScanStore:
             (row[0], row[2]) for row in orders.rows() if row[3] > 400000
         ]
         assert sorted(scan.rows()) == sorted(expected)
-
-    def test_limit_stops_early(self, backend, orders_store):
-        with use_engine(backend=backend):
-            scan = scan_store(
-                orders_store, where="totalprice > 100000", limit=7
-            )
-        assert scan.num_rows == 7
 
     def test_no_filter_full_scan(self, backend, orders_store, orders):
         with use_engine(backend=backend):
@@ -123,42 +117,40 @@ class TestQueryStore:
                 query_store(orders_store, "SELECT * FROM lineitem")
 
     def test_joins_rejected(self, backend, orders_store):
+        """The shim's catalog holds only the store: joining any other
+        table fails (``Database.attach_store`` is the way to join)."""
         sql = (
             "SELECT * FROM orders JOIN customer "
             "ON orders.custkey = customer.custkey"
         )
         with use_engine(backend=backend):
-            with pytest.raises(SqlExecutionError):
+            with pytest.raises(SqlExecutionError, match="unknown relation 'customer'"):
                 query_store(orders_store, sql)
 
 
 class TestAttachStore:
     def test_attach_and_query(self, orders_store, orders):
         db = Database(Catalog())
-        relation = db.attach_store(orders_store)
+        assert db.attach_store(orders_store) is orders_store
         assert "orders" in db.table_names()
-        assert relation.num_rows == orders.num_rows
         result = db.query("SELECT COUNT(*) AS c FROM orders")
         assert result.rows[0][0] == orders.num_rows
 
     def test_attach_filtered_slice(self, orders_store, orders):
+        """A filtered slice is a WHERE on the attached table."""
         db = Database(Catalog())
-        db.attach_store(
-            orders_store,
-            where=compile_where("totalprice > 450000"),
-            columns=["orderkey", "totalprice"],
-        )
+        db.attach_store(orders_store)
         expected = sum(1 for row in orders.rows() if row[3] > 450000)
-        result = db.query("SELECT COUNT(*) AS c FROM orders")
+        result = db.query("SELECT COUNT(*) AS c FROM orders WHERE totalprice > 450000")
         assert result.rows[0][0] == expected
 
-    def test_attach_replace_flag(self, orders_store):
-        db = Database(Catalog())
-        db.attach_store(orders_store, limit=5)
-        with pytest.raises(Exception):
-            db.attach_store(orders_store, limit=10)
-        relation = db.attach_store(orders_store, limit=10, replace=True)
-        assert relation.num_rows == 10
+    def test_attach_replace_flag(self, orders_store, orders):
+        db = Database.from_relations(orders.head(5))
+        with pytest.raises(DuplicateRelationError):
+            db.attach_store(orders_store)
+        assert db.query("SELECT COUNT(*) FROM orders").rows == ((5,),)
+        db.attach_store(orders_store, replace=True)
+        assert db.query("SELECT COUNT(*) FROM orders").rows == ((orders.num_rows,),)
 
 
 class TestCompileWhere:
