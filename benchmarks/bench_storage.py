@@ -1,25 +1,17 @@
-"""Out-of-core storage + sketch bench (PR 9): lineitem under a ceiling.
+"""Out-of-core storage bench (PR 9): lineitem under a ceiling.
 
-Two measurements over the chunked on-disk store
-(:mod:`repro.storage`):
-
-* ``test_lineitem_out_of_core`` — generate ``lineitem`` straight to
-  disk (:func:`repro.datagen.tpch.generate_to_store`, dependency-free
-  stream, one chunk resident), then on **each backend** run the
-  out-of-core profile passes — exact group stats (the partition-build
-  stand-in), sketch TANE level-1, and a tiled-evidence sample sweep —
-  with an **asserted peak-heap ceiling**: peak traced bytes must stay
-  under ¼ of the store's materialized column bytes
-  (``manifest.materialized_bytes()``, codes + dictionaries).  At toy
-  scales a fixed floor covers the scale-independent cost of the
-  evidence sample's O(sample²) structures; at ``REPRO_TPCH_FULL=1``
-  (SF 1, ~6M rows, the paper's 1GB column) the ¼ ceiling binds alone.
-
-* ``test_exact_vs_sketch_accuracy`` — the same store profiled both
-  ways: HyperLogLog distinct counts, sampled entropy, and sampled
-  violating-pair counts must land **within their stated error bounds**
-  of the exact spill-merge answers, and the accuracy table is printed
-  and recorded.
+``test_lineitem_out_of_core`` generates ``lineitem`` straight to disk
+(:func:`repro.datagen.tpch.generate_to_store`, dependency-free stream,
+one chunk resident), then on **each backend** runs the out-of-core
+profile passes over the chunked store (:mod:`repro.storage`) — group
+stats (the partition-build stand-in) and TANE level-1, both exact
+spill merges, and a tiled-evidence sweep over a seeded row sample —
+with an **asserted peak-heap ceiling**: peak traced bytes must
+stay under ¼ of the store's materialized column bytes
+(``manifest.materialized_bytes()``, codes + dictionaries).  At toy
+scales a fixed floor covers the scale-independent cost of the evidence
+sample's O(sample²) structures; at ``REPRO_TPCH_FULL=1`` (SF 1, ~6M
+rows, the paper's 1GB column) the ¼ ceiling binds alone.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks to CI seconds (SF 0.001); the default
 is SF 0.01; ``REPRO_TPCH_FULL=1`` is the recorded SF-1 run.  Entries
@@ -39,13 +31,7 @@ from repro.bench.tables import render_rows
 from repro.bench.timing import Timer
 from repro.datagen import tpch
 from repro.relational import kernels
-from repro.storage.profile import (
-    distinct_count,
-    evidence_sample,
-    group_stats,
-    tane_level1,
-    violating_pairs_count,
-)
+from repro.storage.profile import evidence_sample, group_stats, tane_level1
 
 _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 _FULL = bool(os.environ.get("REPRO_TPCH_FULL"))
@@ -55,8 +41,8 @@ _CHUNK_ROWS = None if _FULL else (512 if _SMOKE else 4096)
 #: structures, which dwarf a toy store; at SF 1 the ¼ rule (~190 MB)
 #: exceeds it and binds alone.
 _FLOOR_BYTES = 32 * 1024 * 1024
-#: TANE level-1 sweep attributes (one HLL pass per unordered pair).
-#: The python backend hashes rows scalar, so the full-scale sweep gets
+#: TANE level-1 sweep attributes (one spill merge per unordered pair).
+#: The python backend groups rows scalar, so the full-scale sweep gets
 #: a narrower set to stay in minutes; the ceiling assert is identical.
 _TANE_ATTRS = ("orderkey", "partkey", "suppkey", "linenumber", "quantity")
 _TANE_ATTRS_PY_FULL = ("partkey", "suppkey", "linenumber")
@@ -74,8 +60,8 @@ def _profile_pass(store, backend: str) -> dict:
     with use_engine(backend=backend):
         tracemalloc.start()
         with Timer() as timer:
-            stats = group_stats(store, ("partkey", "suppkey"), mode="exact")
-            fds = tane_level1(store, tane_attrs, mode="sketch")
+            stats = group_stats(store, ("partkey", "suppkey"))
+            fds = tane_level1(store, tane_attrs)
             evidence = evidence_sample(
                 store, sample=sample, attributes=_EVIDENCE_ATTRS
             )
@@ -85,7 +71,7 @@ def _profile_pass(store, backend: str) -> dict:
         "backend": backend,
         "seconds": timer.elapsed,
         "peak_bytes": peak,
-        "groups": stats.distinct.as_int(),
+        "groups": stats.distinct,
         "unary_fds": len(fds),
         "evidence_pairs": evidence.total_pairs,
     }
@@ -167,95 +153,3 @@ def test_lineitem_out_of_core(benchmark, show, bench_results, tmp_path):
     show(render_rows(shown))
     store.close()
 
-
-def test_exact_vs_sketch_accuracy(show, bench_results, tmp_path):
-    """Sketch answers land within their stated bounds of exact ones."""
-    preset = tpch.SCALE_PRESETS["tiny" if _SMOKE else "small"]
-    stores = tpch.generate_to_store(
-        tmp_path / "tpch-acc",
-        preset,
-        seed=42,
-        tables=("lineitem",),
-        chunk_rows=512 if _SMOKE else 4096,
-    )
-    store = stores["lineitem"]
-    rows = []
-    for backend in kernels.available_backends():
-        with use_engine(backend=backend):
-            for attrs in (("partkey", "suppkey"), ("orderkey", "linenumber")):
-                exact = distinct_count(store, attrs, mode="exact")
-                sketch = distinct_count(store, attrs, mode="sketch")
-                assert exact.exact and not sketch.exact
-                assert sketch.within(exact.value), (
-                    f"{backend} distinct{attrs}: {sketch.value:.0f} ± "
-                    f"{sketch.bound:.0f} misses exact {exact.value:.0f}"
-                )
-                rows.append(
-                    {
-                        "backend": backend,
-                        "measure": "distinct " + "+".join(attrs),
-                        "exact": exact.as_int(),
-                        "sketch": sketch.as_int(),
-                        "bound": round(sketch.bound, 1),
-                        "rel err": round(
-                            abs(sketch.value - exact.value)
-                            / max(exact.value, 1),
-                            4,
-                        ),
-                    }
-                )
-            gs_exact = group_stats(store, ("partkey", "suppkey"), mode="exact")
-            gs_sketch = group_stats(
-                store, ("partkey", "suppkey"), mode="sketch"
-            )
-            assert gs_sketch.entropy.within(gs_exact.entropy.value)
-            vp_exact = violating_pairs_count(
-                store, ("partkey",), ("suppkey",), mode="exact"
-            )
-            vp_sketch = violating_pairs_count(
-                store, ("partkey",), ("suppkey",), mode="sketch"
-            )
-            assert vp_sketch.within(vp_exact.value)
-            rows.append(
-                {
-                    "backend": backend,
-                    "measure": "entropy partkey+suppkey",
-                    "exact": round(gs_exact.entropy.value, 3),
-                    "sketch": round(gs_sketch.entropy.value, 3),
-                    "bound": round(gs_sketch.entropy.bound, 3),
-                    "rel err": round(
-                        abs(gs_sketch.entropy.value - gs_exact.entropy.value)
-                        / max(gs_exact.entropy.value, 1e-9),
-                        4,
-                    ),
-                }
-            )
-            rows.append(
-                {
-                    "backend": backend,
-                    "measure": "violating pairs partkey->suppkey",
-                    "exact": vp_exact.as_int(),
-                    "sketch": vp_sketch.as_int(),
-                    "bound": round(vp_sketch.bound, 1),
-                    "rel err": round(
-                        abs(vp_sketch.value - vp_exact.value)
-                        / max(vp_exact.value, 1),
-                        4,
-                    ),
-                }
-            )
-    show(render_rows(rows))
-    for row in rows:
-        bench_results.record(
-            "storage.sketch_accuracy",
-            0.0,
-            backend=row["backend"],
-            scale=preset.scale_factor,
-            rows=store.num_rows,
-            measure=row["measure"],
-            exact=row["exact"],
-            sketch=row["sketch"],
-            bound=row["bound"],
-            rel_err=row["rel err"],
-        )
-    store.close()

@@ -74,9 +74,7 @@ def main() -> int:
         tracemalloc.start()
         with Timer() as timer:
             fds = tane_level1(
-                store,
-                ("orderkey", "partkey", "suppkey", "linenumber"),
-                mode="exact",
+                store, ("orderkey", "partkey", "suppkey", "linenumber")
             )
             verdict = assess_fd(store, ("partkey",), ("suppkey",))
             db = Database.from_relations()

@@ -12,7 +12,7 @@ System S4 in DESIGN.md.  Public API:
 * :class:`RepairConfig` — all the knobs of Section 4.4, including the
   goodness-threshold extension;
 * :class:`EngineConfig` / :func:`use_engine` — the engine knobs (kernel
-  backend, cache bounds, DC tile, approx mode) and a scoped override.
+  backend, cache bounds, DC tile) and a scoped override.
 """
 
 from .candidates import Candidate, candidate_rank_key, extend_by_one, order_key

@@ -20,7 +20,7 @@ paragraph of Section 4:
 
 :class:`EngineConfig` is the engine-level companion: it is the one place
 that names, validates, defaults and installs an engine knob (kernel
-backend, cache bounds, DC tile, approx mode).  :data:`_KNOBS` holds one
+backend, cache bounds, DC tile).  :data:`_KNOBS` holds one
 row per field — its environment variable, check and installer — and
 the constructor, :meth:`EngineConfig.from_env` and
 :meth:`EngineConfig.activate` are loops over it.  The ``REPRO_*``
@@ -38,7 +38,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from types import ModuleType
 
-from repro import sketch
 from repro.dc import engine as dc_engine
 from repro.relational import kernels, statistics
 from repro.relational.errors import KernelBackendError, _positive_int
@@ -139,12 +138,6 @@ _KNOBS = (
         _into(dc_engine, "_tile"),
         parse=_int_or_text,
     ),
-    _Knob(
-        "approx",
-        "REPRO_APPROX",
-        _one_of("exact", "sketch"),
-        _into(sketch, "_approx"),
-    ),
 )
 
 #: The config last activated (``import repro`` activates the first).
@@ -153,7 +146,7 @@ _active: EngineConfig | None = None
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Engine-level settings: kernel backend, cache bounds, tile, approx.
+    """Engine-level settings: kernel backend, cache bounds, DC tile.
 
     ``backend`` is ``"auto"`` (numpy when installed, else python),
     ``"python"``, or ``"numpy"`` ($REPRO_BACKEND).
@@ -166,19 +159,14 @@ class EngineConfig:
     means unbounded for both.  ``dc_tile`` is the edge length
     (representative rows) of the DC evidence engine's pair-space blocks
     ($REPRO_DC_TILE): larger tiles amortize kernel dispatch, smaller
-    ones bound peak memory.  ``approx`` picks the profiling estimator
-    family of :mod:`repro.storage.profile` and the optimizer's
-    statistics ($REPRO_APPROX): ``"exact"`` or ``"sketch"``
-    (:mod:`repro.sketch` HyperLogLog + seeded samples with stated error
-    bounds).  Construction only validates; :meth:`activate` installs
-    the choices process-wide.
+    ones bound peak memory.  Construction only validates;
+    :meth:`activate` installs the choices process-wide.
     """
 
     backend: str = "auto"
     partition_cache_size: int | None = 8192
     delta_track_limit: int | None = 64
     dc_tile: int = 4096
-    approx: str = "exact"
 
     def __post_init__(self) -> None:
         for knob in _KNOBS:

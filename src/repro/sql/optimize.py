@@ -17,7 +17,7 @@ plan into an equivalent, cheaper one:
   are *provably unique* (exact dictionary cardinality == row count, so
   each join is an order-preserving filter) are re-ranked by estimated
   selectivity ``|T| / max(ndv(left key), |T|)`` from
-  :mod:`repro.sql.stats` — HLL-estimated in ``approx="sketch"`` mode.
+  :mod:`repro.sql.stats`.
 
 Everything is guarded so the rewrite is *observably identical* to the
 original plan — results, row order, and error messages — which the

@@ -4,15 +4,13 @@ The paper's profiling metadata — per-attribute distinct counts and null
 counts — is exactly what a cost-based optimizer consumes, so this module
 reuses it directly: :func:`relation_stats` reads
 :class:`~repro.relational.statistics.RelationStatistics` (dictionary
-cardinalities, free on encoded columns) and, in ``approx="sketch"``
-mode, re-derives the distinct estimates through the HyperLogLog;
-:func:`store_stats` reads an attached store's manifest (exact, nothing
-decoded).  :class:`StatisticsProvider` picks one per table name.
+cardinalities, free on encoded columns); :func:`store_stats` reads an
+attached store's manifest (nothing decoded).  :class:`StatisticsProvider`
+picks one per table name.
 
-Two numbers matter downstream: ``distinct`` (possibly sketch-estimated,
-drives join-order cost ranking) and ``exact_distinct`` (dictionary
-cardinality or ``None``; uniqueness guards that must be *sound*, like
-"this join key is a key", only ever trust the exact figure).
+Every distinct count is exact, so the same figure drives join-order
+cost ranking and the uniqueness guards that must be *sound*, like
+"this join key is a key".
 """
 
 from __future__ import annotations
@@ -20,12 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
-import repro.sketch
 from repro.relational.errors import UnknownRelationError
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
 from repro.relational.types import AttributeType
-from repro.sketch import estimate_distinct
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.relational.catalog import Catalog
@@ -44,17 +40,11 @@ __all__ = [
 class ColumnStats:
     """Optimizer-visible facts about one column."""
 
-    distinct: float
-    """Distinct non-null values (HLL estimate in sketch mode)."""
+    distinct: int
+    """Distinct non-null values (the dictionary cardinality)."""
 
     null_count: int
     """NULLs in the column."""
-
-    exact_distinct: int | None
-    """Dictionary cardinality when known exactly, else ``None``.
-
-    Soundness-critical guards (join-key uniqueness) use only this.
-    """
 
     attr_type: AttributeType
     """Declared type, for the pushdown safety analysis."""
@@ -75,38 +65,23 @@ class TableStats:
         """``True`` only when ``name`` is *provably* duplicate- and
         NULL-free: exact distinct count equals the row count."""
         stats = self.columns.get(name)
-        if stats is None or stats.exact_distinct is None:
+        if stats is None:
             return False
-        return stats.null_count == 0 and stats.exact_distinct == self.num_rows
-
-
-def _sketchable(distinct_exact: int, values) -> float:
-    """The distinct estimate honoring the active approx mode.
-
-    In sketch mode the dictionary's values run through the HyperLogLog —
-    the estimate a chunked/distributed profile would produce — so the
-    cost model sees sketch error instead of silently exact numbers.
-    """
-    if repro.sketch._approx != "sketch":
-        return float(distinct_exact)
-    return estimate_distinct(values)
+        return stats.null_count == 0 and stats.distinct == self.num_rows
 
 
 def relation_stats(relation: Relation) -> TableStats:
     """Build :class:`TableStats` from an in-memory relation.
 
     Distinct and null counts come from :class:`RelationStatistics`
-    (dictionary metadata, no scan); sketch mode re-estimates distincts
-    through the HLL.
+    (dictionary metadata, no scan).
     """
     rel_stats = relation.stats
     columns: dict[str, ColumnStats] = {}
     for attr in relation.schema.attributes:
-        exact = rel_stats.cardinality(attr.name)
         columns[attr.name] = ColumnStats(
-            distinct=_sketchable(exact, relation.column(attr.name).dictionary),
+            distinct=rel_stats.cardinality(attr.name),
             null_count=rel_stats.null_count(attr.name),
-            exact_distinct=exact,
             attr_type=attr.type,
         )
     return TableStats(
@@ -122,11 +97,9 @@ def store_stats(store: "StoredRelation") -> TableStats:
     """
     columns: dict[str, ColumnStats] = {}
     for attr in store.schema.attributes:
-        exact = store.cardinality(attr.name)
         columns[attr.name] = ColumnStats(
-            distinct=float(exact),
+            distinct=store.cardinality(attr.name),
             null_count=store.null_count(attr.name),
-            exact_distinct=exact,
             attr_type=attr.type,
         )
     return TableStats(

@@ -15,8 +15,7 @@ larger than RAM:
   ``Relation.extend`` chains;
 * :mod:`repro.storage.profile` — the chunk-at-a-time consumers:
   streamed partition statistics, exact spill-merge group stats, TANE
-  level-1 discovery, tiled-evidence sample passes, with optional
-  sketch fast paths (:mod:`repro.sketch`);
+  level-1 discovery, tiled-evidence sample passes;
 * :mod:`repro.storage.sqlbridge` — SQL scans over attached stores
   (chunked predicate-pushdown materialization).
 """

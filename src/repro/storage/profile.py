@@ -2,21 +2,14 @@
 
 Every routine here walks the store one chunk at a time and keeps a
 working set bounded by ``O(chunk + distinct-per-chunk + sample)`` — the
-relation itself is never materialized.  Two estimator families, chosen
-by the process-wide approx mode (``EngineConfig(approx=...)``):
-
-* **exact** — an external-sort group merge: each chunk contributes a
-  *sorted* run of ``(group key, count)`` records spilled to disk
-  (keys are fixed-width big-endian ``global code + 1`` words, so byte
-  order ≡ tuple order and NULL folds in as 0), and a ``heapq.merge``
-  pass folds equal keys across runs while streaming the aggregates
-  (distinct, Σ C(g,2) agreeing pairs, entropy, size histogram).  This
-  mirrors the writer's dictionary merge: only one chunk's groups are
-  ever resident.
-* **sketch** — :mod:`repro.sketch`: HyperLogLog over combined
-  per-row column hashes for distinct counts, seeded
-  index-sample gathers for entropy and violating pairs.  Every sketch
-  result carries its stated error bound.
+relation itself is never materialized.  Every count is exact, from an
+external-sort group merge: each chunk contributes a *sorted* run of
+``(group key, count)`` records spilled to disk (keys are fixed-width
+big-endian ``global code + 1`` words, so byte order ≡ tuple order and
+NULL folds in as 0), and a ``heapq.merge`` pass folds equal keys across
+runs while streaming the aggregates (distinct, Σ C(g,2) agreeing pairs,
+entropy, size histogram).  This mirrors the writer's dictionary merge:
+only one chunk's groups are ever resident.
 
 On top sit the hot consumers the rest of the engine threads through:
 FD assessment (:func:`assess_fd`), TANE level-1 discovery
@@ -37,21 +30,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-import repro.sketch
+from repro.fd.fd import FDSyntaxError
 from repro.relational import kernels
 from repro.relational.relation import Relation
-from repro.sketch import (
-    DEFAULT_PRECISION,
-    HyperLogLog,
-    entropy_estimate,
-    violating_pairs_estimate,
-)
-from repro.sketch.hll import splitmix64
 
 from .reader import StoredRelation
 
 __all__ = [
-    "DistinctCount",
     "GroupStats",
     "StoreFDAssessment",
     "assess_fd",
@@ -59,7 +44,6 @@ __all__ = [
     "evidence_sample",
     "group_size_histogram",
     "group_stats",
-    "sample_row_keys",
     "sample_rows",
     "tane_level1",
     "violating_pairs_count",
@@ -72,22 +56,6 @@ _COUNT = struct.Struct("<Q")
 # Result types
 # ======================================================================
 @dataclass(frozen=True)
-class DistinctCount:
-    """A distinct count with provenance: exact, or an estimate + bound."""
-
-    value: float
-    #: Absolute stated bound (0.0 when exact).
-    bound: float
-    exact: bool
-
-    def as_int(self) -> int:
-        return int(round(self.value))
-
-    def within(self, reference: float) -> bool:
-        return abs(self.value - reference) <= self.bound
-
-
-@dataclass(frozen=True)
 class GroupStats:
     """Aggregates of the group-by clustering of one attribute set.
 
@@ -96,67 +64,44 @@ class GroupStats:
     (the :mod:`repro.eb` convention, NULL as a regular value).
     """
 
-    distinct: DistinctCount
-    agreeing_pairs: DistinctCount
-    entropy: DistinctCount
+    distinct: int
+    agreeing_pairs: int
+    entropy: float
     num_rows: int
-
-    @property
-    def exact(self) -> bool:
-        return self.distinct.exact
 
 
 @dataclass(frozen=True)
 class StoreFDAssessment:
     """Confidence/goodness of one FD measured on a store.
 
-    The same measures as :class:`repro.fd.measures.FDAssessment`
-    (confidence ``|π_X|/|π_XY|``, goodness ``|π_X| − |π_Y|``), except
-    each distinct count carries its provenance, and
-    :attr:`confidence_bound` propagates the stated relative errors
-    (first order: ``rel(X) + rel(XY)`` plus the cross term).
+    The same measures as :class:`repro.fd.measures.FDAssessment`:
+    confidence ``|π_X|/|π_XY|`` and goodness ``|π_X| − |π_Y|``.
     """
 
     x_attrs: tuple[str, ...]
     y_attrs: tuple[str, ...]
-    distinct_x: DistinctCount
-    distinct_xy: DistinctCount
-    distinct_y: DistinctCount
+    distinct_x: int
+    distinct_xy: int
+    distinct_y: int
 
     @property
     def confidence(self) -> float:
-        if self.distinct_xy.value == 0:
+        if self.distinct_xy == 0:
             return 1.0
-        return self.distinct_x.value / self.distinct_xy.value
+        return self.distinct_x / self.distinct_xy
 
     @property
-    def goodness(self) -> float:
-        return self.distinct_x.value - self.distinct_y.value
-
-    @property
-    def exact(self) -> bool:
-        return all(
-            d.exact for d in (self.distinct_x, self.distinct_xy, self.distinct_y)
-        )
-
-    @property
-    def confidence_bound(self) -> float:
-        if self.exact:
-            return 0.0
-        rx = self.distinct_x.bound / max(self.distinct_x.value, 1.0)
-        rxy = self.distinct_xy.bound / max(self.distinct_xy.value, 1.0)
-        return self.confidence * (rx + rxy + rx * rxy)
+    def goodness(self) -> int:
+        return self.distinct_x - self.distinct_y
 
     @property
     def is_exact_fd(self) -> bool:
-        """Whether the FD holds (within the bound in sketch mode)."""
-        if self.exact:
-            return self.distinct_x.value == self.distinct_xy.value
-        return self.confidence + self.confidence_bound >= 1.0
+        """Whether the FD holds on every row."""
+        return self.distinct_x == self.distinct_xy
 
 
 # ======================================================================
-# Exact path: external-sort group merge
+# External-sort group merge
 # ======================================================================
 def _chunk_group_runs(columns) -> tuple[list[bytes], list[int]]:
     """One chunk's groups as sorted byte keys + counts.
@@ -208,9 +153,15 @@ def _merged_groups(
     One sorted spill run per chunk, ``heapq.merge``d with equal keys
     folded — the multi-attribute analogue of the writer's dictionary
     merge.  The spill file lives next to the store (or ``spill_dir``)
-    and is unlinked when the stream is exhausted or closed.
+    and is unlinked when the stream is exhausted or closed.  The empty
+    attribute set groups every row together: one group, or none on an
+    empty store.
     """
     names = store.schema.validate_names(attrs)
+    if not names:
+        if store.num_rows:
+            yield b"", store.num_rows
+        return
     width = len(names)
     directory = Path(spill_dir) if spill_dir is not None else store.directory
     fd, spill_path = tempfile.mkstemp(suffix=".groupspill", dir=directory)
@@ -246,7 +197,7 @@ def group_size_histogram(
     attrs: Sequence[str],
     spill_dir: str | Path | None = None,
 ) -> dict[int, int]:
-    """``group size → number of groups`` for one attribute set (exact).
+    """``group size → number of groups`` for one attribute set.
 
     The out-of-core stand-in for a partition build: the histogram is
     exactly the information the delta engine's size histogram and the
@@ -259,54 +210,8 @@ def group_size_histogram(
 
 
 # ======================================================================
-# Sketch path: combined row hashes + seeded index samples
+# Row samples
 # ======================================================================
-def _row_hashes(columns, seed: int):
-    """Order-sensitive combined hash of each row's global codes.
-
-    ``acc ← splitmix64(acc ⊕ splitmix64(code + 1))`` per column —
-    identical arithmetic on both backends, so sketches agree
-    byte-for-byte.
-    """
-    if kernels.active_backend_name() == "numpy":
-        import numpy as np
-
-        from repro.sketch.hll import splitmix64_lanes
-
-        acc = None
-        for position, col in enumerate(columns):
-            lanes = (np.asarray(col, dtype=np.int64) + 1).astype(np.uint64)
-            h = splitmix64_lanes(lanes, seed + position)
-            acc = h if acc is None else splitmix64_lanes(acc ^ h, seed)
-        return acc
-    mask = (1 << 64) - 1
-    out = []
-    for row in zip(*columns):
-        acc = None
-        for position, code in enumerate(row):
-            h = splitmix64(
-                ((code + 1) ^ ((seed + position) * 0x9E3779B97F4A7C15)) & mask
-            )
-            acc = h if acc is None else splitmix64(
-                ((acc ^ h) ^ (seed * 0x9E3779B97F4A7C15)) & mask
-            )
-        out.append(acc)
-    return out
-
-
-def _hll_distinct(
-    store: StoredRelation,
-    attrs: Sequence[str],
-    precision: int,
-    seed: int,
-) -> DistinctCount:
-    sketch = HyperLogLog(precision=precision, seed=seed)
-    for _, columns in store.iter_global_codes(attrs):
-        sketch.add_hashes(_row_hashes(columns, seed))
-    value = sketch.count()
-    return DistinctCount(value, value * sketch.error_bound, exact=False)
-
-
 def _sample_indices(num_rows: int, sample: int, seed: int) -> list[int]:
     """A sorted uniform without-replacement index sample (seeded)."""
     size = min(sample, num_rows)
@@ -315,41 +220,17 @@ def _sample_indices(num_rows: int, sample: int, seed: int) -> list[int]:
     return sorted(random.Random(seed).sample(range(num_rows), size))
 
 
-def sample_row_keys(
-    store: StoredRelation,
-    attrs: Sequence[str],
-    sample: int,
-    seed: int = 0,
-) -> list[tuple[int, ...]]:
-    """Global-code key tuples of a seeded uniform row sample.
-
-    Only chunks containing sampled indices are read; peak memory is one
-    chunk's codes plus the sample itself.
-    """
-    names = store.schema.validate_names(attrs)
-    indices = _sample_indices(store.num_rows, sample, seed)
-    keys: list[tuple[int, ...]] = []
-    cursor = 0
-    for chunk in range(store.num_chunks):
-        start = store.manifest.chunk_start(chunk)
-        end = start + store.manifest.chunk_sizes[chunk]
-        if cursor >= len(indices) or indices[cursor] >= end:
-            continue
-        columns = [store.chunk_global_codes(name, chunk) for name in names]
-        while cursor < len(indices) and indices[cursor] < end:
-            local = indices[cursor] - start
-            keys.append(tuple(int(col[local]) for col in columns))
-            cursor += 1
-    return keys
-
-
 def sample_rows(
     store: StoredRelation,
     sample: int,
     seed: int = 0,
     attrs: Sequence[str] | None = None,
 ) -> list[tuple[Any, ...]]:
-    """Decoded value rows of a seeded uniform row sample."""
+    """Decoded value rows of a seeded uniform row sample.
+
+    Only chunks containing sampled indices are read; peak memory is one
+    chunk's codes plus the sample itself.
+    """
     names = (
         store.attribute_names
         if attrs is None
@@ -378,95 +259,54 @@ def sample_rows(
 
 
 # ======================================================================
-# Public profiling API (mode-dispatched)
+# Public profiling API
 # ======================================================================
-def _mode(mode: str | None) -> str:
-    return repro.sketch._approx if mode is None else mode
+def _antecedent(store: StoredRelation, x_attrs: Sequence[str]) -> tuple[str, ...]:
+    """Validated ``X`` of an FD; empty is the in-memory FD's error."""
+    x = store.schema.validate_names(x_attrs)
+    if not x:
+        raise FDSyntaxError("the antecedent of an FD cannot be empty")
+    return x
 
 
 def distinct_count(
     store: StoredRelation,
     attrs: Sequence[str],
-    mode: str | None = None,
-    precision: int = DEFAULT_PRECISION,
-    seed: int = 0,
     spill_dir: str | Path | None = None,
-) -> DistinctCount:
+) -> int:
     """``|π_attrs|`` over the store (NULL as a regular value).
 
-    Single attributes read straight off the manifest (always exact —
-    the writer's dictionary merge already counted them); multi-attribute
-    sets run the spill merge (exact) or a HyperLogLog pass (sketch).
+    Single attributes read straight off the manifest (the writer's
+    dictionary merge already counted them); other sets run the spill
+    merge.
     """
     names = store.schema.validate_names(attrs)
-    if not names:
-        return DistinctCount(1.0 if store.num_rows else 0.0, 0.0, exact=True)
     if len(names) == 1:
         meta = store.manifest.columns[names[0]]
-        value = meta.cardinality + (1 if meta.null_count else 0)
-        return DistinctCount(float(value), 0.0, exact=True)
-    if _mode(mode) == "sketch":
-        return _hll_distinct(store, names, precision, seed)
-    distinct = sum(1 for _ in _merged_groups(store, names, spill_dir))
-    return DistinctCount(float(distinct), 0.0, exact=True)
+        return meta.cardinality + (1 if meta.null_count else 0)
+    return sum(1 for _ in _merged_groups(store, names, spill_dir))
 
 
 def group_stats(
     store: StoredRelation,
     attrs: Sequence[str],
-    mode: str | None = None,
-    precision: int = DEFAULT_PRECISION,
-    sample: int = 10_000,
-    seed: int = 0,
     spill_dir: str | Path | None = None,
 ) -> GroupStats:
-    """Distinct count, agreeing pairs, and entropy of one clustering.
-
-    Exact mode streams all three off a single spill merge; sketch mode
-    uses HLL (distinct) plus one seeded row sample (entropy via
-    Miller–Madow, agreeing pairs via the U-statistic estimator).
-    """
-    names = store.schema.validate_names(attrs)
+    """Distinct count, agreeing pairs, and entropy of one clustering,
+    streamed off a single spill merge."""
     n = store.num_rows
-    if _mode(mode) == "sketch" and len(names) > 1:
-        distinct = _hll_distinct(store, names, precision, seed)
-        keys = sample_row_keys(store, names, sample, seed)
-        ent = entropy_estimate(keys, n, distinct_hint=distinct.value)
-        # Agreeing pairs: the within-sample agree fraction scaled to
-        # C(n,2); same U-statistic envelope as the violating-pair bound.
-        counts: dict[tuple[int, ...], int] = {}
-        for key in keys:
-            counts[key] = counts.get(key, 0) + 1
-        s = len(keys)
-        sample_pairs = s * (s - 1) // 2
-        total_pairs = n * (n - 1) // 2
-        if sample_pairs:
-            p = sum(c * (c - 1) // 2 for c in counts.values()) / sample_pairs
-            bound = 3.0 * math.sqrt(max(p * (1 - p), 1.0 / s) / (s / 2))
-            agree_est = DistinctCount(
-                p * total_pairs, bound * total_pairs, exact=False
-            )
-        else:
-            agree_est = DistinctCount(0.0, float(total_pairs), exact=False)
-        return GroupStats(
-            distinct=distinct,
-            agreeing_pairs=agree_est,
-            entropy=DistinctCount(ent.value, ent.bound, exact=False),
-            num_rows=n,
-        )
     distinct = 0
     agreeing = 0
     entropy = 0.0
-    for _, size in _merged_groups(store, names, spill_dir):
+    for _, size in _merged_groups(store, attrs, spill_dir):
         distinct += 1
         agreeing += size * (size - 1) // 2
-        if n:
-            p = size / n
-            entropy -= p * math.log(p)
+        p = size / n
+        entropy -= p * math.log(p)
     return GroupStats(
-        distinct=DistinctCount(float(distinct), 0.0, exact=True),
-        agreeing_pairs=DistinctCount(float(agreeing), 0.0, exact=True),
-        entropy=DistinctCount(entropy, 0.0, exact=True),
+        distinct=distinct,
+        agreeing_pairs=agreeing,
+        entropy=entropy,
         num_rows=n,
     )
 
@@ -475,32 +315,24 @@ def assess_fd(
     store: StoredRelation,
     x_attrs: Sequence[str],
     y_attrs: Sequence[str],
-    mode: str | None = None,
-    precision: int = DEFAULT_PRECISION,
-    seed: int = 0,
     spill_dir: str | Path | None = None,
 ) -> StoreFDAssessment:
     """Confidence and goodness of ``X → Y`` measured chunk-at-a-time.
 
     NULL is treated as a regular value (GROUP BY semantics) — the
     in-memory FD layer's NULL prohibition is a schema-level concern the
-    caller applies before profiling.
+    caller applies before profiling.  An empty ``X`` raises
+    :class:`~repro.fd.fd.FDSyntaxError`, as in memory.
     """
-    x = tuple(store.schema.validate_names(x_attrs))
-    y = tuple(store.schema.validate_names(y_attrs))
-
-    def count(attrs: list[str]) -> DistinctCount:
-        return distinct_count(
-            store, attrs, mode=mode, precision=precision, seed=seed,
-            spill_dir=spill_dir,
-        )
-
+    x = _antecedent(store, x_attrs)
+    y = store.schema.validate_names(y_attrs)
+    xy = x + tuple(a for a in y if a not in x)
     return StoreFDAssessment(
         x_attrs=x,
         y_attrs=y,
-        distinct_x=count(list(x)),
-        distinct_xy=count(list(x + tuple(a for a in y if a not in x))),
-        distinct_y=count(list(y)),
+        distinct_x=distinct_count(store, x, spill_dir),
+        distinct_xy=distinct_count(store, xy, spill_dir),
+        distinct_y=distinct_count(store, y, spill_dir),
     )
 
 
@@ -508,70 +340,44 @@ def violating_pairs_count(
     store: StoredRelation,
     x_attrs: Sequence[str],
     y_attrs: Sequence[str],
-    mode: str | None = None,
-    sample: int = 10_000,
-    seed: int = 0,
     spill_dir: str | Path | None = None,
-) -> DistinctCount:
+) -> int:
     """Row pairs agreeing on X but differing on Y (Definition 2).
 
-    Exact mode: ``Σ C(x_g,2) − Σ C(xy_g,2)`` off two spill merges —
-    the same identity the in-memory kernel uses.  Sketch mode: one
-    seeded row sample through the U-statistic estimator.
+    ``Σ C(x_g,2) − Σ C(xy_g,2)`` off two spill merges — the same
+    identity the in-memory kernel uses.  An empty ``X`` raises
+    :class:`~repro.fd.fd.FDSyntaxError`, as in memory.
     """
-    x = list(store.schema.validate_names(x_attrs))
-    y = [a for a in store.schema.validate_names(y_attrs) if a not in x]
-    if _mode(mode) == "sketch":
-        keys = sample_row_keys(store, x + y, sample, seed)
-        split = len(x)
-        est = violating_pairs_estimate(
-            ((key[:split], key[split:]) for key in keys), store.num_rows
-        )
-        return DistinctCount(est.value, est.bound, exact=False)
-    x_stats = group_stats(store, x, mode="exact", spill_dir=spill_dir)
-    xy_stats = group_stats(store, x + y, mode="exact", spill_dir=spill_dir)
-    value = x_stats.agreeing_pairs.value - xy_stats.agreeing_pairs.value
-    return DistinctCount(value, 0.0, exact=True)
+    x = _antecedent(store, x_attrs)
+    y = tuple(a for a in store.schema.validate_names(y_attrs) if a not in x)
+    x_stats = group_stats(store, x, spill_dir)
+    xy_stats = group_stats(store, x + y, spill_dir)
+    return x_stats.agreeing_pairs - xy_stats.agreeing_pairs
 
 
 def tane_level1(
     store: StoredRelation,
     attrs: Sequence[str] | None = None,
-    mode: str | None = None,
-    precision: int = DEFAULT_PRECISION,
-    seed: int = 0,
     spill_dir: str | Path | None = None,
 ) -> list[tuple[str, str]]:
     """Level-1 TANE: all exact unary FDs ``A → B`` over the store.
 
     ``A → B`` holds iff ``|π_A| = |π_AB|`` — one pair-distinct count
     per unordered attribute pair, each a bounded-memory chunk sweep.
-    In sketch mode the test is ``estimate(AB) ≤ |π_A| + bound``, so the
-    result is a *candidate* set (no false negatives within the stated
-    bound); exact mode is authoritative.  Returns ``(lhs, rhs)`` pairs
-    sorted by schema position.
+    Returns ``(lhs, rhs)`` pairs sorted by schema position.
     """
     names = (
         list(store.attribute_names)
         if attrs is None
         else list(store.schema.validate_names(attrs))
     )
-    singles = {
-        name: distinct_count(store, [name]).value for name in names
-    }
+    singles = {name: distinct_count(store, [name]) for name in names}
     found: list[tuple[str, str]] = []
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
-            pair = distinct_count(
-                store, [a, b], mode=mode, precision=precision, seed=seed,
-                spill_dir=spill_dir,
-            )
+            pair = distinct_count(store, [a, b], spill_dir)
             for lhs, rhs in ((a, b), (b, a)):
-                if pair.exact:
-                    holds = pair.value == singles[lhs]
-                else:
-                    holds = pair.value <= singles[lhs] + pair.bound
-                if holds:
+                if pair == singles[lhs]:
                     found.append((lhs, rhs))
     order = {name: position for position, name in enumerate(names)}
     found.sort(key=lambda fd: (order[fd[0]], order[fd[1]]))

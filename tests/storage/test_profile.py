@@ -1,9 +1,8 @@
 """Out-of-core profiling vs the in-memory engine — same answers.
 
-Every exact profile primitive (:mod:`repro.storage.profile`) is
+Every profile primitive (:mod:`repro.storage.profile`) is
 cross-checked against its in-memory counterpart on the materialized
-relation; sketch primitives must land within their stated bounds of
-the exact answers.  All checks run on both backends.
+relation.  All checks run on both backends.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import pytest
 
 from repro.core.config import use_engine
 from repro.datagen.realworld import country_relation
-from repro.fd.fd import FunctionalDependency
+from repro.fd.fd import FDSyntaxError, FunctionalDependency
 from repro.fd.measures import assess, count_violating_pairs
 from repro.relational import kernels
 from repro.relational.relation import Relation
@@ -65,24 +64,23 @@ class TestExactMatchesInMemory:
                 ("Region", "GovernmentForm"),
                 ("Region", "HeadOfState", "Continent"),
             ):
-                got = distinct_count(store, attrs, mode="exact")
-                assert got.exact and got.bound == 0.0
-                assert got.as_int() == country.count_distinct(attrs)
+                got = distinct_count(store, attrs)
+                assert got == country.count_distinct(attrs)
 
     def test_group_stats(self, backend, store, country):
         attrs = ("Region", "GovernmentForm")
         with use_engine(backend=backend):
-            stats = group_stats(store, attrs, mode="exact")
+            stats = group_stats(store, attrs)
         counts = Counter(
             (row[0], row[1])
             for row in country.project(attrs).rows()
         )
         assert stats.num_rows == country.num_rows
-        assert stats.distinct.as_int() == len(counts)
-        assert stats.agreeing_pairs.as_int() == sum(
+        assert stats.distinct == len(counts)
+        assert stats.agreeing_pairs == sum(
             c * (c - 1) // 2 for c in counts.values()
         )
-        assert stats.entropy.value == pytest.approx(
+        assert stats.entropy == pytest.approx(
             _exact_entropy(country, attrs)
         )
 
@@ -96,28 +94,24 @@ class TestExactMatchesInMemory:
 
     def test_assess_fd(self, backend, store, country):
         with use_engine(backend=backend):
-            got = assess_fd(
-                store, ("Region",), ("GovernmentForm",), mode="exact"
-            )
+            got = assess_fd(store, ("Region",), ("GovernmentForm",))
         want = assess(
             country, FunctionalDependency(("Region",), ("GovernmentForm",))
         )
         assert got.confidence == pytest.approx(want.confidence)
         assert got.goodness == want.goodness
-        assert got.exact
+        assert got.is_exact_fd == (want.confidence == 1.0)
 
     def test_violating_pairs(self, backend, store, country):
         fd = FunctionalDependency(("Region",), ("GovernmentForm",))
         with use_engine(backend=backend):
-            got = violating_pairs_count(
-                store, ("Region",), ("GovernmentForm",), mode="exact"
-            )
-        assert got.as_int() == count_violating_pairs(country, fd)
+            got = violating_pairs_count(store, ("Region",), ("GovernmentForm",))
+        assert got == count_violating_pairs(country, fd)
 
     def test_tane_level1(self, backend, store, country):
         attrs = ("Region", "GovernmentForm", "Continent", "HeadOfState")
         with use_engine(backend=backend):
-            found = tane_level1(store, attrs, mode="exact")
+            found = tane_level1(store, attrs)
         expected = []
         for a in attrs:
             for b in attrs:
@@ -129,37 +123,37 @@ class TestExactMatchesInMemory:
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-class TestSketchWithinBounds:
-    def test_distinct_within_bound(self, backend, store, country):
-        attrs = ("Region", "HeadOfState", "Continent")
-        with use_engine(backend=backend):
-            sketch = distinct_count(store, attrs, mode="sketch")
-        assert not sketch.exact and sketch.bound > 0
-        assert sketch.within(country.count_distinct(attrs))
+class TestEmptyAttributeSet:
+    """``()`` groups every row together, as ``count_distinct(())`` does."""
 
-    def test_sketch_identical_across_backends(self, backend, store):
-        attrs = ("Region", "GovernmentForm")
+    def test_one_group_of_all_rows(self, backend, store, country):
+        n = country.num_rows
         with use_engine(backend=backend):
-            got = distinct_count(store, attrs, mode="sketch")
-        with use_engine(backend="python"):
-            reference = distinct_count(store, attrs, mode="sketch")
-        assert got.value == reference.value
+            assert distinct_count(store, ()) == country.count_distinct(()) == 1
+            stats = group_stats(store, ())
+            assert group_size_histogram(store, ()) == {n: 1}
+        assert (stats.distinct, stats.agreeing_pairs) == (1, n * (n - 1) // 2)
+        assert stats.entropy == 0.0
 
-    def test_entropy_and_pairs_within_bound(self, backend, store, country):
-        attrs = ("Region", "GovernmentForm")
+    def test_empty_antecedent_is_an_fd_syntax_error(self, backend, store):
+        with pytest.raises(FDSyntaxError) as in_memory:
+            FunctionalDependency((), ("Region",))
         with use_engine(backend=backend):
-            stats = group_stats(store, attrs, mode="sketch", sample=150)
-        assert stats.entropy.within(_exact_entropy(country, attrs))
+            for profile in (assess_fd, violating_pairs_count):
+                with pytest.raises(FDSyntaxError) as excinfo:
+                    profile(store, (), ("Region",))
+                assert str(excinfo.value) == str(in_memory.value)
 
-    def test_fd_confidence_bound(self, backend, store, country):
-        fd = FunctionalDependency(("Region",), ("GovernmentForm",))
-        with use_engine(backend=backend):
-            got = assess_fd(
-                store, ("Region",), ("GovernmentForm",), mode="sketch"
-            )
-        want = assess(country, fd)
-        assert not got.exact
-        assert abs(got.confidence - want.confidence) <= got.confidence_bound
+    def test_no_group_on_an_empty_store(self, backend, country, tmp_path):
+        empty = Relation.from_rows(country.schema, [], validate=False)
+        store = empty.to_store(str(tmp_path / "empty"))
+        try:
+            with use_engine(backend=backend):
+                assert distinct_count(store, ()) == empty.count_distinct(()) == 0
+                assert group_stats(store, ()).distinct == 0
+                assert group_size_histogram(store, ()) == {}
+        finally:
+            store.close()
 
 
 class TestSampling:
@@ -186,6 +180,6 @@ class TestSampling:
             assert evidence.total_pairs == 40 * 39
 
     def test_no_spill_files_left_behind(self, store):
-        distinct_count(store, ("Region", "GovernmentForm"), mode="exact")
+        distinct_count(store, ("Region", "GovernmentForm"))
         leftovers = list(store.directory.glob("*.groupspill"))
         assert leftovers == []

@@ -191,7 +191,7 @@ class TestSkipping:
         assert scan.num_rows == 0
         assert stats.chunks_skipped == 10  # null_count == 0 everywhere
 
-    def test_count_skippable_chunks_matches_scan(self, backend, store):
+    def test_explain_skips_match_live_scan(self, backend, store):
         """EXPLAIN's dry zone walk reports what the live scan skips."""
         db = Database.from_relations()
         db.attach_store(store)
@@ -250,7 +250,7 @@ class TestDatabaseIntegration:
         db.attach_store(store.directory)
         assert db.catalog.table(store.name) is first
 
-    def test_query_store_reports_skips(self, store, monkeypatch):
+    def test_query_reads_only_unrefuted_chunks(self, store, monkeypatch):
         """``db.query`` over an attached store reads only the chunks the
         zone maps cannot refute."""
         db = Database.from_relations()
@@ -267,7 +267,7 @@ class TestDatabaseIntegration:
         assert [row[0] for row in result.rows] == list(range(250, 260))
         assert read == [2]
 
-    def test_query_store_matches_query(self, store):
+    def test_query_store_shim_matches_query(self, store):
         """The ``query_store`` shim and ``db.query`` take the same path."""
         db = Database.from_relations()
         db.attach_store(store)
